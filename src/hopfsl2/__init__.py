@@ -36,14 +36,11 @@ from .modules import (
 )
 from .fusion import FusionVector, candidate_simples, decompose, fuse, fusion_table, tensor
 from .grothendieck import (
-    GRingElement,
     GelakiContext,
     chebyshev_z,
     compare_fusion_rings,
     gr_mul,
     radford_context,
-    radford_fusion,
-    specialize_gelaki,
     verify_relation,
 )
 

@@ -73,6 +73,11 @@ class Monomial(NamedTuple):
 
 
 _UNIT = Monomial(0, 0, 0, 0, 0)
+# x and y with the group-like (b, resp. c) that enters their coproduct and antipode
+_GEN_AND_GROUPLIKE = {
+    "x": (Monomial(0, 0, 0, 1, 0), Monomial(0, 1, 0, 0, 0)),
+    "y": (Monomial(0, 0, 0, 0, 1), Monomial(0, 0, 1, 0, 0)),
+}
 
 
 class Element:
@@ -293,10 +298,13 @@ class AlgebraParams:
         self.u = n // t if n % t == 0 else None
         self._qpow: dict[int, CycScalar] = {}
         self._straighten: dict[tuple[int, int], dict] = {}
-        self._dx_pow: dict[int, TensorElement] = {}
-        self._dy_pow: dict[int, TensorElement] = {}
-        self._sx_pow: dict[int, Element] = {}
-        self._sy_pow: dict[int, Element] = {}
+        self._delta_pow: dict[tuple[str, int], TensorElement] = {}
+        self._s_pow: dict[tuple[str, int], Element] = {}
+        # fusion-layer caches: candidate simples per central character
+        # (fusion.candidate_simples) and fuse results per class pair
+        # (grothendieck.gr_mul)
+        self._cand_cache: dict[tuple, list] = {}
+        self._fuse_cache: dict[tuple, object] = {}
 
     # -- scalars ------------------------------------------------------
 
@@ -452,36 +460,20 @@ class AlgebraParams:
                         _accum(out.terms, (lm, rm), c * lc * rc)
         return out
 
-    def _delta_x_pow(self, u: int) -> TensorElement:
-        out = self._dx_pow.get(u)
+    def _delta_gen_pow(self, g: str, k: int) -> TensorElement:
+        """Delta(g)^k for g in 'xy': Delta(x) = x (x) a^n1 + b (x) x and
+        Delta(y) = y (x) a^n1 + c (x) y."""
+        out = self._delta_pow.get((g, k))
         if out is None:
-            if u == 0:
+            if k == 0:
                 out = TensorElement({(_UNIT, _UNIT): self.one})
             else:
-                dx = TensorElement(
-                    {
-                        (Monomial(0, 0, 0, 1, 0), Monomial(self.n1, 0, 0, 0, 0)): self.one,
-                        (Monomial(0, 1, 0, 0, 0), Monomial(0, 0, 0, 1, 0)): self.one,
-                    }
+                gen, grp = _GEN_AND_GROUPLIKE[g]
+                dg = TensorElement(
+                    {(gen, Monomial(self.n1, 0, 0, 0, 0)): self.one, (grp, gen): self.one}
                 )
-                out = self.tensor_mul(self._delta_x_pow(u - 1), dx)
-            self._dx_pow[u] = out
-        return out
-
-    def _delta_y_pow(self, v: int) -> TensorElement:
-        out = self._dy_pow.get(v)
-        if out is None:
-            if v == 0:
-                out = TensorElement({(_UNIT, _UNIT): self.one})
-            else:
-                dy = TensorElement(
-                    {
-                        (Monomial(0, 0, 0, 0, 1), Monomial(self.n1, 0, 0, 0, 0)): self.one,
-                        (Monomial(0, 0, 1, 0, 0), Monomial(0, 0, 0, 0, 1)): self.one,
-                    }
-                )
-                out = self.tensor_mul(self._delta_y_pow(v - 1), dy)
-            self._dy_pow[v] = out
+                out = self.tensor_mul(self._delta_gen_pow(g, k - 1), dg)
+            self._delta_pow[(g, k)] = out
         return out
 
     def coproduct(self, e: Element) -> TensorElement:
@@ -490,9 +482,9 @@ class AlgebraParams:
             grp = Monomial(mono.i, mono.j, mono.k, 0, 0)
             t = TensorElement({(grp, grp): coeff})
             if mono.u:
-                t = self.tensor_mul(t, self._delta_x_pow(mono.u))
+                t = self.tensor_mul(t, self._delta_gen_pow("x", mono.u))
             if mono.v:
-                t = self.tensor_mul(t, self._delta_y_pow(mono.v))
+                t = self.tensor_mul(t, self._delta_gen_pow("y", mono.v))
             out = out + t
         return out
 
@@ -503,37 +495,28 @@ class AlgebraParams:
                 acc = acc + coeff
         return acc
 
-    def _s_x_pow(self, u: int) -> Element:
-        out = self._sx_pow.get(u)
+    def _s_gen_pow(self, g: str, k: int) -> Element:
+        """s(g)^k for g in 'xy': s(x) = -q^-n1 a^-n1 b^-1 x and
+        s(y) = -q^n1 a^-n1 c^-1 y."""
+        out = self._s_pow.get((g, k))
         if out is None:
-            if u == 0:
+            if k == 0:
                 out = self.unit()
             else:
-                sx = Element.monomial(
-                    Monomial(-self.n1, -1, 0, 1, 0), -self.qpow(-self.n1)
+                gen, grp = _GEN_AND_GROUPLIKE[g]
+                sg = Element.monomial(
+                    Monomial(-self.n1, -grp.j, -grp.k, gen.u, gen.v),
+                    -self.qpow(-self.n1 if g == "x" else self.n1),
                 )
-                out = self.mul(self._s_x_pow(u - 1), sx)
-            self._sx_pow[u] = out
-        return out
-
-    def _s_y_pow(self, v: int) -> Element:
-        out = self._sy_pow.get(v)
-        if out is None:
-            if v == 0:
-                out = self.unit()
-            else:
-                sy = Element.monomial(
-                    Monomial(-self.n1, 0, -1, 0, 1), -self.qpow(self.n1)
-                )
-                out = self.mul(self._s_y_pow(v - 1), sy)
-            self._sy_pow[v] = out
+                out = self.mul(self._s_gen_pow(g, k - 1), sg)
+            self._s_pow[(g, k)] = out
         return out
 
     def antipode(self, e: Element) -> Element:
         out = Element()
         for mono, coeff in e.terms.items():
             # s is an anti-homomorphism: s(g x^u y^v) = s(y)^v s(x)^u g^(-1)
-            part = self.mul(self._s_y_pow(mono.v), self._s_x_pow(mono.u))
+            part = self.mul(self._s_gen_pow("y", mono.v), self._s_gen_pow("x", mono.u))
             part = self.mul(
                 part,
                 Element.monomial(Monomial(-mono.i, -mono.j, -mono.k, 0, 0), coeff),

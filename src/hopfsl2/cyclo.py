@@ -124,6 +124,19 @@ def _field_data(m: int):
     return phi, rows
 
 
+@lru_cache(maxsize=None)
+def _trace_weights(m: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_m^e)/phi(m) for e < phi(m).  zeta_m^e is a primitive f-th root
+    of unity, f = m/gcd(e, m), so the weight is moebius(f)/phi(f)."""
+    out = []
+    for e in range(euler_phi(m)):
+        f = m // math.gcd(e, m)
+        fac = _factorize(f)
+        moebius = 0 if any(k > 1 for k in fac.values()) else (-1) ** len(fac)
+        out.append(Fraction(moebius, euler_phi(f)))
+    return tuple(out)
+
+
 class CycScalar:
     """An exact element of Q(zeta_m)."""
 
@@ -329,11 +342,10 @@ class CycScalar:
         return a.c == b.c
 
     def __hash__(self):
-        # rationals hash like their Fraction so mixed-modulus rational
-        # values agree; irrational values must share a modulus to compare.
-        if self.is_rational():
-            return hash(self.c[0])
-        return hash((self.m, self.c))
+        # hash the normalised trace Tr(x)/phi(m): embedding into a larger
+        # modulus leaves it unchanged (values equal across moduli hash alike),
+        # and for a rational it is the rational itself
+        return hash(sum(x * w for x, w in zip(self.c, _trace_weights(self.m)) if x))
 
     def key(self):
         """Canonical sort/identity key within a fixed modulus."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import AlgebraParams
 from .cyclo import CycScalar
 from .extfield import ExtScalar
-from .linalg import identity, kron, mat_mul, mat_pow, rank, solve, trace
+from .linalg import identity, kron, mat_add, mat_mul, mat_pow, rank, solve, trace
 from .modules import (
     FieldTooSmall,
     ModuleRep,
@@ -87,7 +87,8 @@ class CanonLabel:
 
 
 class FusionVector:
-    """Multiset of simple classes with integer multiplicities."""
+    """Signed integer combination of simple classes: a fusion result, or an
+    element of the Grothendieck ring G_0(H_beta)."""
 
     def __init__(self, entries=None):
         self.entries: dict[CanonLabel, int] = {}
@@ -117,6 +118,9 @@ class FusionVector:
 
     def __hash__(self):
         raise TypeError("FusionVector is not hashable")
+
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def total_dim(self) -> int:
         return sum(m * l.dim for l, m in self.entries.items())
@@ -176,8 +180,8 @@ def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -
         "a": kron(mats1["a"], mats2["a"]),
         "b": kron(mats1["b"], mats2["b"]),
         "c": kron(mats1["c"], mats2["c"]),
-        "x": _mat_add(kron(mats1["x"], a2n1), kron(mats1["b"], mats2["x"])),
-        "y": _mat_add(kron(mats1["y"], a2n1), kron(mats1["c"], mats2["y"])),
+        "x": mat_add(kron(mats1["x"], a2n1), kron(mats1["b"], mats2["x"])),
+        "y": mat_add(kron(mats1["y"], a2n1), kron(mats1["c"], mats2["y"])),
     }
     out = ModuleRep(m1.dim * m2.dim, mats, ("tensor", m1.label, m2.label), p)
     if check:
@@ -185,10 +189,6 @@ def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -
         if bad:
             raise WrongType(f"tensor product violates relations {bad} (coproduct not multiplicative here)")
     return out
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- candidates and traces ---------------------------------------------------
@@ -234,10 +234,7 @@ def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: boo
     g1 = _norm_scalar(p, g1)
     gamma2 = _norm_scalar(p, gamma2)
     gamma3 = _norm_scalar(p, gamma3)
-    cache = getattr(p, "_cand_cache", None)
-    if cache is None:
-        cache = {}
-        p._cand_cache = cache
+    cache = p._cand_cache
     key = (g1.key(), gamma2.key(), gamma3.key(), allow_extension)
     if key in cache:
         return cache[key]

@@ -39,7 +39,6 @@ from .modules import (
 
 __all__ = [
     "UnboundGenerator",
-    "GRingElement",
     "Reading",
     "RelationReport",
     "gr_mul",
@@ -64,82 +63,23 @@ class UnboundGenerator(ValueError):
 # -- ring elements -----------------------------------------------------------
 
 
-class GRingElement:
-    """Signed integer combination of simple classes of a fixed H_beta."""
-
-    def __init__(self, p: AlgebraParams, entries=None):
-        self.p = p
-        self.entries: dict[CanonLabel, int] = {}
-        if entries:
-            for label, mult in entries.items():
-                if mult:
-                    self.entries[label] = self.entries.get(label, 0) + mult
-            self.entries = {l: m for l, m in self.entries.items() if m}
-
-    def __add__(self, other):
-        out = GRingElement(self.p, dict(self.entries))
-        for l, m in other.entries.items():
-            out.entries[l] = out.entries.get(l, 0) + m
-        out.entries = {l: m for l, m in out.entries.items() if m}
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k: int):
-        return GRingElement(self.p, {l: k * m for l, m in self.entries.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GRingElement):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        raise TypeError("GRingElement is not hashable")
-
-    def is_zero(self):
-        return not self.entries
-
-    def total_dim(self):
-        return sum(m * l.dim for l, m in self.entries.items())
-
-    def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda t: (t[0].kind, t[0].dim, t[0].fingerprint))
-
-    def __repr__(self):
-        if not self.entries:
-            return "0"
-        parts = []
-        for l, m in self.sorted_items():
-            parts.append((f"{m}*" if m != 1 else "") + str(l))
-        return " + ".join(parts)
-
-    def as_fusion_vector(self) -> FusionVector:
-        if any(m < 0 for m in self.entries.values()):
-            raise ValueError("negative multiplicities")
-        return FusionVector(dict(self.entries))
-
-
-def cls(p: AlgebraParams, label: SimpleLabel) -> GRingElement:
+def cls(p: AlgebraParams, label: SimpleLabel) -> FusionVector:
     """The class of a simple module as a ring element."""
     m = build_simple(p, label)
-    return GRingElement(p, {class_of(p, m): 1})
+    return FusionVector({class_of(p, m): 1})
 
 
 def _fuse_cached(p: AlgebraParams, l1: CanonLabel, l2: CanonLabel) -> FusionVector:
-    cache = getattr(p, "_fuse_cache", None)
-    if cache is None:
-        cache = {}
-        p._fuse_cache = cache
+    cache = p._fuse_cache
     key = (l1, l2)
     if key not in cache:
         cache[key] = fuse(p, l1.display, l2.display)
     return cache[key]
 
 
-def gr_mul(p: AlgebraParams, a: GRingElement, b: GRingElement) -> GRingElement:
+def gr_mul(p: AlgebraParams, a: FusionVector, b: FusionVector) -> FusionVector:
     """Bilinear extension of fuse to signed combinations."""
-    out = GRingElement(p)
+    out = FusionVector()
     for l1, m1 in a.entries.items():
         for l2, m2 in b.entries.items():
             fv = _fuse_cached(p, l1, l2)
@@ -149,24 +89,24 @@ def gr_mul(p: AlgebraParams, a: GRingElement, b: GRingElement) -> GRingElement:
     return out
 
 
-def gr_pow(p: AlgebraParams, a: GRingElement, k: int) -> GRingElement:
+def gr_pow(p: AlgebraParams, a: FusionVector, k: int) -> FusionVector:
     out = one(p)
     for _ in range(k):
         out = gr_mul(p, out, a)
     return out
 
 
-def one(p: AlgebraParams) -> GRingElement:
+def one(p: AlgebraParams) -> FusionVector:
     return cls(p, SimpleLabel("V0", p.one, p.one, p.one, 0))
 
 
-def one_dim_class(p: AlgebraParams, lam) -> GRingElement:
+def one_dim_class(p: AlgebraParams, lam) -> FusionVector:
     """Class of the 1-dimensional module a -> lam, b = c = 1 (raises WrongType
     via build_V0 when no such module exists for the beta-case)."""
     return cls(p, SimpleLabel("V0", lam, p.one, p.one, 0))
 
 
-def g_class(p: AlgebraParams) -> GRingElement:
+def g_class(p: AlgebraParams) -> FusionVector:
     """g = [V0(1,1,1;1)]; UnboundGenerator when that label names no module."""
     try:
         return cls(p, SimpleLabel("V0", p.one, p.one, p.one, 1))
@@ -174,10 +114,10 @@ def g_class(p: AlgebraParams) -> GRingElement:
         raise UnboundGenerator("g = [V0(1,1,1;1)] is not a module here") from exc
 
 
-def s_full(p: AlgebraParams) -> GRingElement:
+def s_full(p: AlgebraParams) -> FusionVector:
     """s = sum_{p} g^p (needs a valid g)."""
     g = g_class(p)
-    out = GRingElement(p)
+    out = FusionVector()
     acc = one(p)
     for _ in range(p.n):
         out = out + acc
@@ -192,10 +132,10 @@ def canonical_zr_label(p: AlgebraParams, r: int) -> SimpleLabel:
     return SimpleLabel("Vr", p.sqrt_q ** (r - 1), p.one, p.one, 0, r=r)
 
 
-def z_class(p: AlgebraParams, r: int) -> GRingElement:
+def z_class(p: AlgebraParams, r: int) -> FusionVector:
     """z_r as a ring element (z_0 = 0, z_1 = 1)."""
     if r == 0:
-        return GRingElement(p)
+        return FusionVector()
     if r == 1:
         return one(p)
     return cls(p, canonical_zr_label(p, r))
@@ -207,7 +147,7 @@ def _dickson_coeff(t: int, v: int) -> int:
     return int(c)
 
 
-def chebyshev_z(p: AlgebraParams, r: int, g: GRingElement | None = None) -> GRingElement:
+def chebyshev_z(p: AlgebraParams, r: int, g: FusionVector | None = None) -> FusionVector:
     """z_r = sum_v (-1)^v C(r-1-v, v) g^((n-1)v) z2^(r-1-2v) evaluated in the ring.
 
     When g is None a valid g is used if one exists, else the trivial class
@@ -218,7 +158,7 @@ def chebyshev_z(p: AlgebraParams, r: int, g: GRingElement | None = None) -> GRin
         except UnboundGenerator:
             g = one(p)
     z2 = z_class(p, 2)
-    out = GRingElement(p)
+    out = FusionVector()
     for v in range((r - 1) // 2 + 1):
         coeff = (-1) ** v * math.comb(r - 1 - v, v)
         term = gr_mul(p, gr_pow(p, g, ((p.n - 1) * v) % p.n), gr_pow(p, z2, r - 1 - 2 * v))
@@ -229,7 +169,7 @@ def chebyshev_z(p: AlgebraParams, r: int, g: GRingElement | None = None) -> GRin
 # -- expected-class helpers --------------------------------------------------
 
 
-def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r=None) -> GRingElement:
+def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r=None) -> FusionVector:
     """Class of V_r(g1, gamma2, gamma3; i) (V0 when expected_r == 1).
 
     Raises WrongType when the label's computed r disagrees with expected_r,
@@ -241,7 +181,7 @@ def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r=None) -> GRi
     return cls(p, lbl)
 
 
-def chain_pairs(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> GRingElement:
+def chain_pairs(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> FusionVector:
     """Composition factors of a cyclic x-chain of length t with y-killed top.
 
     The slot with top eigenvalue g1 q^i splits as V_s + V_(t-s)(top q^-s)
@@ -258,7 +198,7 @@ def chain_pairs(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> GRingElement:
 def vi_family(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI"):
     """All seed-classes of kind VI/VII over the character, as ring elements."""
     cands = candidate_simples(p, g1, gamma2, gamma3)
-    return [GRingElement(p, {lab: 1}) for lab, _m in cands if lab.kind == kind]
+    return [FusionVector({lab: 1}) for lab, _m in cands if lab.kind == kind]
 
 
 # -- relation framework ------------------------------------------------------
@@ -408,7 +348,7 @@ def rel_thm55_star1(p: AlgebraParams) -> list:
     z2 = z_class(p, 2)
 
     def lhs():
-        out = GRingElement(p)
+        out = FusionVector()
         for v in range(t // 2 + 1):
             if t - 2 * v < 0:
                 continue
@@ -458,43 +398,47 @@ def rel_thm55_z2_zprime(p: AlgebraParams, g1xi) -> list:
     ]
 
 
-def rel_thm55_zprime_zprime(p: AlgebraParams, g1a, g1b) -> list:
-    g1a, g1b = _scal(p, g1a), _scal(p, g1b)
-    G = g1a * g1b
+def _vt_square_readings(p: AlgebraParams, slot: int, xa, xb, printed: str, thm519_variant=False) -> list:
+    """[V_t(a)] [V_t(b)] for V_t classes whose character differs from (1, 1, 1)
+    only in `slot` (0: g1, 1: gamma2, 2: gamma3): the chain split per slot of
+    the product character, and the printed s'' reading off <q^n1>."""
+    xa, xb = _scal(p, xa), _scal(p, xb)
     t = p.t
-    lhs = lambda: gr_mul(
-        p,
-        cls(p, SimpleLabel("Vr", g1a, p.one, p.one, 0, r=t)),
-        cls(p, SimpleLabel("Vr", g1b, p.one, p.one, 0, r=t)),
-    )
-    in_q_n1 = r_value(p, G, p.one, p.one) is not None
+
+    def char(x):
+        out = [p.one, p.one, p.one]
+        out[slot] = x
+        return out
+
+    def vt(x, i):
+        return cls(p, SimpleLabel("Vr", *char(x), i, r=t))
+
+    prod = char(xa * xb)
+    lhs = lambda: gr_mul(p, vt(xa, 0), vt(xb, 0))
+    in_q_n1 = r_value(p, *prod) is not None
 
     def rhs_proof():
-        out = GRingElement(p)
-        for slot in range(t):
-            out = out + chain_pairs(p, G, p.one, p.one, (p.n - slot) % p.n)
+        out = FusionVector()
+        for k in range(t):
+            out = out + chain_pairs(p, *prod, (p.n - k) % p.n)
+        return out
+
+    def rhs_shifted(shift):
+        out = FusionVector()
+        for k in range(t):
+            out = out + vt(prod[slot], (shift - k) % p.n)
         return out
 
     readings = [_try_reading("proof(chain split per slot)", lhs, rhs_proof)]
     if not in_q_n1:
-        # printed: s'' z'_(xi xi') vs thm5.19 variant g^(n-t) s'' z'_(xi xi')
-        def rhs_printed():
-            out = GRingElement(p)
-            for k in range(t):
-                out = out + cls(p, SimpleLabel("Vr", G, p.one, p.one, (p.n - k) % p.n, r=t))
-            return out
-
-        def rhs_519():
-            out = GRingElement(p)
-            for k in range(t):
-                out = out + cls(
-                    p, SimpleLabel("Vr", G, p.one, p.one, (2 * p.n - t - k) % p.n, r=t)
-                )
-            return out
-
-        readings.append(_try_reading("printed(s'' z')", lhs, rhs_printed))
-        readings.append(_try_reading("thm5.19 variant(g^(n-t) s'' z')", lhs, rhs_519))
+        readings.append(_try_reading(printed, lhs, lambda: rhs_shifted(p.n)))
+        if thm519_variant:
+            readings.append(_try_reading("thm5.19 variant(g^(n-t) s'' z')", lhs, lambda: rhs_shifted(2 * p.n - t)))
     return readings
+
+
+def rel_thm55_zprime_zprime(p: AlgebraParams, g1a, g1b) -> list:
+    return _vt_square_readings(p, 0, g1a, g1b, "printed(s'' z')", thm519_variant=True)
 
 
 def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI", kseed=None):
@@ -554,32 +498,7 @@ def rel_thm58_x_zdprime(p: AlgebraParams, g1z, zeta2, xi, kseed=None) -> list:
 
 
 def rel_thm58_zd_zd(p: AlgebraParams, xi, xip) -> list:
-    xi, xip = _scal(p, xi), _scal(p, xip)
-    prod = xi * xip
-    t = p.t
-    lhs = lambda: gr_mul(
-        p,
-        cls(p, SimpleLabel("Vr", p.one, p.one, xi, 0, r=t)),
-        cls(p, SimpleLabel("Vr", p.one, p.one, xip, 0, r=t)),
-    )
-    in_q = r_value(p, p.one, p.one, prod) is not None
-
-    def rhs_proof():
-        out = GRingElement(p)
-        for slot in range(t):
-            out = out + chain_pairs(p, p.one, p.one, prod, (p.n - slot) % p.n)
-        return out
-
-    readings = [_try_reading("proof(chain split per slot)", lhs, rhs_proof)]
-    if not in_q:
-        def rhs_printed():
-            out = GRingElement(p)
-            for k in range(t):
-                out = out + cls(p, SimpleLabel("Vr", p.one, p.one, prod, (p.n - k) % p.n, r=t))
-            return out
-
-        readings.append(_try_reading("printed(s'' z''_(xi xi'))", lhs, rhs_printed))
-    return readings
+    return _vt_square_readings(p, 2, xi, xip, "printed(s'' z''_(xi xi'))")
 
 
 def _product_case_readings(p, lhs_elem, G, g2prod, g3prod, casename) -> list:
@@ -607,7 +526,7 @@ def _product_case_readings(p, lhs_elem, G, g2prod, g3prod, casename) -> list:
     elif p.beta[2].is_zero():
         # n s g_(...): n copies of every 1-dim class over the character
         def rhs_v0():
-            out = GRingElement(p)
+            out = FusionVector()
             for j in range(p.n):
                 out = out + cls(p, SimpleLabel("V0", G, g2prod, g3prod, j))
             return out.scale(p.n)
@@ -617,7 +536,7 @@ def _product_case_readings(p, lhs_elem, G, g2prod, g3prod, casename) -> list:
         )
     else:
         def rhs_chains():
-            out = GRingElement(p)
+            out = FusionVector()
             for slot in range(p.n):
                 for k in range(p.u):
                     out = out + chain_pairs(p, G, g2prod, g3prod, (p.n - slot - k * p.t) % p.n)
@@ -648,19 +567,27 @@ def _s_times_reading(p, lhs_elem, G, g2prod, g3prod, kind) -> Reading:
     return Reading(f"printed(s {kind} class)", True, hold, note if hold else f"lhs = {lhs_elem!r}; " + note)
 
 
+def _same_kind_product(p: AlgebraParams, kind: str, g1a, c2a, g1b, c2b, kseed_a, kseed_b) -> list:
+    """[V_I][V_I] over characters (g1, 1, c2), or [V_II][V_II] over (g1, c2, 1)."""
+    g1a, c2a = _scal(p, g1a), _scal(p, c2a)
+    g1b, c2b = _scal(p, g1b), _scal(p, c2b)
+
+    def gammas(c2):
+        return (p.one, c2) if kind == "VI" else (c2, p.one)
+
+    G = g1a * g1b
+    readings = []
+    for tag_a, ca in _vi_choices(p, g1a, *gammas(c2a), kind=kind, kseed=kseed_a):
+        for tag_b, cb in _vi_choices(p, g1b, *gammas(c2b), kind=kind, kseed=kseed_b):
+            lhs_elem = gr_mul(p, ca, cb)
+            case = f"[{tag_a} x {tag_b}]"
+            readings.extend(_product_case_readings(p, lhs_elem, G, *gammas(c2a * c2b), case))
+    return readings
+
+
 def rel_x_times_x(p: AlgebraParams, g1a, zeta2a, g1b, zeta2b, kseed_a=None, kseed_b=None) -> list:
     """The V_I x V_I product in all of its displayed cases (Thms 5.8/5.10/5.15/5.19)."""
-    g1a, zeta2a = _scal(p, g1a), _scal(p, zeta2a)
-    g1b, zeta2b = _scal(p, g1b), _scal(p, zeta2b)
-    G = g1a * g1b
-    zprod = zeta2a * zeta2b
-    readings = []
-    for tag_a, xa in _vi_choices(p, g1a, p.one, zeta2a, kseed=kseed_a):
-        for tag_b, xb in _vi_choices(p, g1b, p.one, zeta2b, kseed=kseed_b):
-            lhs_elem = gr_mul(p, xa, xb)
-            case = f"[{tag_a} x {tag_b}]"
-            readings.extend(_product_case_readings(p, lhs_elem, G, p.one, zprod, case))
-    return readings
+    return _same_kind_product(p, "VI", g1a, zeta2a, g1b, zeta2b, kseed_a, kseed_b)
 
 
 def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2, kseed_x=None, kseed_y=None) -> list:
@@ -693,17 +620,7 @@ def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2, kseed_x=None, kseed_y
 
 def rel_y_times_y(p: AlgebraParams, g1a, eps2a, g1b, eps2b, kseed_a=None, kseed_b=None) -> list:
     """The V_II x V_II product cases (Thms 5.13/5.15/5.17/5.19)."""
-    g1a, eps2a = _scal(p, g1a), _scal(p, eps2a)
-    g1b, eps2b = _scal(p, g1b), _scal(p, eps2b)
-    G = g1a * g1b
-    eprod = eps2a * eps2b
-    readings = []
-    for tag_a, ya in _vi_choices(p, g1a, eps2a, p.one, kind="VII", kseed=kseed_a):
-        for tag_b, yb in _vi_choices(p, g1b, eps2b, p.one, kind="VII", kseed=kseed_b):
-            lhs_elem = gr_mul(p, ya, yb)
-            case = f"[{tag_a} x {tag_b}]"
-            readings.extend(_product_case_readings(p, lhs_elem, G, eprod, p.one, case))
-    return readings
+    return _same_kind_product(p, "VII", g1a, eps2a, g1b, eps2b, kseed_a, kseed_b)
 
 
 def rel_thm517_z2_ztilde(p: AlgebraParams, xi) -> list:
@@ -736,32 +653,7 @@ def rel_thm517_y_ztilde(p: AlgebraParams, g1e, eps2, xi, kseed=None) -> list:
 
 
 def rel_thm517_zt_zt(p: AlgebraParams, xi, xip) -> list:
-    xi, xip = _scal(p, xi), _scal(p, xip)
-    prod = xi * xip
-    t = p.t
-    lhs = lambda: gr_mul(
-        p,
-        cls(p, SimpleLabel("Vr", p.one, xi, p.one, 0, r=t)),
-        cls(p, SimpleLabel("Vr", p.one, xip, p.one, 0, r=t)),
-    )
-    in_q = r_value(p, p.one, prod, p.one) is not None
-
-    def rhs_proof():
-        out = GRingElement(p)
-        for slot in range(t):
-            out = out + chain_pairs(p, p.one, prod, p.one, (p.n - slot) % p.n)
-        return out
-
-    readings = [_try_reading("proof(chain split per slot)", lhs, rhs_proof)]
-    if not in_q:
-        def rhs_printed():
-            out = GRingElement(p)
-            for k in range(t):
-                out = out + cls(p, SimpleLabel("Vr", p.one, prod, p.one, (p.n - k) % p.n, r=t))
-            return out
-
-        readings.append(_try_reading("printed(s'' z~_(xi xi'))", lhs, rhs_printed))
-    return readings
+    return _vt_square_readings(p, 1, xi, xip, "printed(s'' z~_(xi xi'))")
 
 
 def rel_thm519_x_zprime(p: AlgebraParams, g1z, zeta2, g1xi, kseed=None) -> list:
@@ -828,7 +720,7 @@ def _scal(p: AlgebraParams, x):
     return CycScalar.from_rational(Fraction(x), p.M)
 
 
-def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> GRingElement:
+def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> FusionVector:
     """The unique VI/VII seed-class at the character; raises when ambiguous."""
     fam = vi_family(p, g1, gamma2, gamma3, kind)
     if not fam:
@@ -1033,7 +925,7 @@ class GelakiContext:
             return 3
         return 4  # all zero
 
-    def g(self) -> GRingElement:
+    def g(self) -> FusionVector:
         return g_class(self.p)
 
     def h_data(self):
@@ -1075,13 +967,13 @@ class GelakiContext:
             out.append((conv, c, ""))
         return name, order, out
 
-    def xstar(self, kseed=None) -> GRingElement:
+    def xstar(self, kseed=None) -> FusionVector:
         """x* = [V_I(frak_q^n, 1, 1; 0)] (unique seed-class unless kseed given)."""
         if kseed is not None:
             return cls(self.p, SimpleLabel("VI", self.frak_q, self.p.one, self.p.one, 0, kseed=kseed))
         return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, "VI")
 
-    def ystar(self, kseed=None) -> GRingElement:
+    def ystar(self, kseed=None) -> FusionVector:
         if kseed is not None:
             return cls(self.p, SimpleLabel("VII", self.frak_q, self.p.one, self.p.one, 0, kseed=kseed))
         return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, "VII")
@@ -1108,7 +1000,7 @@ class GelakiContext:
         reports.append(RelationReport(f"cor5.3.{name}_order", f"N={self.N}", readings))
         return reports
 
-    def _h_for_power_relation(self) -> GRingElement:
+    def _h_for_power_relation(self) -> FusionVector:
         name, _order, candidates = self.h_candidates()
         for _conv, h, _err in candidates:
             if h is not None:
@@ -1145,12 +1037,6 @@ class GelakiContext:
         return labels, table
 
 
-def specialize_gelaki(p: AlgebraParams, N: int) -> GelakiContext:
-    """Restrict to the quotient with a^N = 1, b = c = 1 (the label filter,
-    generator dictionary and table live on the returned context)."""
-    return GelakiContext(p, N)
-
-
 def radford_context(N: int, nu: int, beta3=1, extra_orders=()) -> GelakiContext:
     """U_(N,nu,omega) = Gelaki's algebra at (N/(N,nu), N, nu, omega^nu, 0, 0, 1)."""
     if (nu * nu) % N == 0:
@@ -1158,10 +1044,6 @@ def radford_context(N: int, nu: int, beta3=1, extra_orders=()) -> GelakiContext:
     n = N // math.gcd(N, nu)
     p = AlgebraParams(n, nu, beta=(0, 0, beta3), extra_orders=(N,) + tuple(extra_orders))
     return GelakiContext(p, N)
-
-
-# the quotient fusion data of U_(N,nu,omega), by the parameter translation
-radford_fusion = radford_context
 
 
 def _coarse_table(ctx: GelakiContext):

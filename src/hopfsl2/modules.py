@@ -20,6 +20,7 @@ from .cyclo import CycScalar
 from .extfield import ExtScalar, find_field_roots, split_roots
 from .linalg import (
     identity,
+    mat_add,
     mat_eq,
     mat_inv,
     mat_mul,
@@ -238,19 +239,88 @@ def build_V0(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     return ModuleRep(1, {"a": [[mu]], "b": [[g2]], "c": [[g3]], "x": [[zero]], "y": [[zero]]}, label, p)
 
 
-def _vr_k_coeffs(p: AlgebraParams, mu, gamma2, gamma3, length: int):
-    """k_1..k_length from the straightening recurrence (k_0 = 0)."""
+def _seed_affine_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, lead, steps: int):
+    """The straightening chain as affine forms (alpha_j, delta_j) of the seed s.
+
+    mu_j(s) = alpha_j s + delta_j for j = 0..steps, with mu_0(s) = lead s and
+    mu_(j+1) = q^-n1 mu_j + c_j, c_j = beta3 (mu^(2 n1) q^e_j - gamma2 gamma3).
+    V_I and V_r read their y-coefficients upward (e_j = -2 j n1); V_II reads
+    its x-coefficients downward from position n (e_j = 2 (n-1-j) n1).
+    """
     zero = mu.zero()
     q = _lift_into(p.q, zero)
     b3 = _lift_into(p.beta[2], zero)
     g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
     qn1_inv = q ** (-p.n1)
     mu2 = mu ** (2 * p.n1)
-    ks = [zero]
-    for l in range(length):
-        c_l = b3 * (mu2 * q ** ((-2 * l * p.n1) % p.n) - g2g3)
-        ks.append(qn1_inv * ks[-1] + c_l)
-    return ks[1:]
+    n = p.n
+    forms = [(lead, zero)]
+    for j in range(steps):
+        e = 2 * (n - 1 - j) * p.n1 if kind == "VII" else -2 * j * p.n1
+        c_j = b3 * (mu2 * q ** (e % n) - g2g3)
+        alpha, delta = forms[-1]
+        forms.append((qn1_inv * alpha, qn1_inv * delta + c_j))
+    return forms
+
+
+def _by_position(kind: str, chain: list) -> list:
+    """Chain entries 1..n-1 of an (n+1)-entry chain, ordered by the matrix
+    position they fill: V_I reads the chain upward, V_II downward."""
+    return chain[1:-1] if kind == "VI" else chain[-2:0:-1]
+
+
+def _seed_forms(p: AlgebraParams, kind: str, mu, gamma2, gamma3, b1, b2) -> list:
+    """The affine forms (alpha_j, delta_j) whose product times s is the seed constraint."""
+    if kind not in ("VI", "VII"):
+        raise WrongType("k-seeds exist only for kinds VI and VII")
+    lead = b1 if kind == "VI" else b2
+    return _by_position(kind, _seed_affine_chain(p, kind, mu, gamma2, gamma3, lead, p.n))
+
+
+def _check_cyclic_kind(kind: str, b1, b2) -> None:
+    """The character conditions of V_I (beta1'' != 0) and V_II (beta1'' = 0 != beta2'')."""
+    if kind == "VI" and b1.is_zero():
+        raise WrongType("VI requires beta1'' != 0")
+    if kind == "VII" and not b1.is_zero():
+        raise WrongType("VII requires beta1'' = 0")
+    if kind == "VII" and b2.is_zero():
+        raise WrongType("VII requires beta2'' != 0")
+
+
+def _scalar_mat(p: AlgebraParams, s, zero, dim: int):
+    return mat_scale(_lift_into(_norm_scalar(p, s), zero), identity(zero.one(), dim))
+
+
+def _chain_module(p: AlgebraParams, label, zero, mu, gamma2, gamma3, up: str, wrap, coeffs, seed) -> ModuleRep:
+    """The module on v_0..v_(d-1), d = len(coeffs) + 1, with b and c scalar.
+
+    `up` (x or y) sends v_j -> v_(j+1) and v_(d-1) -> wrap v_0; the other of
+    x, y sends v_j -> coeffs[j-1] v_(j-1) and v_0 -> seed v_(d-1); a v_j is
+    mu q^-j v_j when x is the up-shift and mu q^j v_j when y is."""
+    d = len(coeffs) + 1
+    one = zero.one()
+    q = _lift_into(p.q, zero)
+    down, sign = ("y", -1) if up == "x" else ("x", 1)
+    mats = {
+        "a": zeros(zero, d, d),
+        "b": _scalar_mat(p, gamma2, zero, d),
+        "c": _scalar_mat(p, gamma3, zero, d),
+        "x": zeros(zero, d, d),
+        "y": zeros(zero, d, d),
+    }
+    for j in range(d):
+        mats["a"][j][j] = mu * q ** ((sign * j) % p.n)
+    for j in range(d - 1):
+        mats[up][j + 1][j] = one
+        mats[down][j][j + 1] = coeffs[j]
+    mats[up][0][d - 1] = wrap
+    mats[down][d - 1][0] = seed
+    return ModuleRep(d, mats, label, p)
+
+
+def _vr_k_coeffs(p: AlgebraParams, mu, gamma2, gamma3, length: int):
+    """k_1..k_length of the V_r chain (k_0 = 0)."""
+    return [delta for _alpha, delta in _seed_affine_chain(p, "Vr", mu, gamma2, gamma3, mu.zero(), length)[1:]]
 
 
 def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
@@ -265,148 +335,54 @@ def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     if not 2 <= r <= p.t:
         raise InternalInconsistency(f"computed r = {r} outside [2, t]")
     zero = mu.zero()
-    one = zero.one()
-    q = _lift_into(p.q, zero)
     ks = _vr_k_coeffs(p, mu, gamma2, gamma3, r)
     for l, k in enumerate(ks[:-1], start=1):
         if k.is_zero():
             raise InternalInconsistency(f"k_{l} vanished below the minimal r")
     if not ks[-1].is_zero():
         raise InternalInconsistency("k_r != 0: the r-minimality scan is inconsistent")
-    a = zeros(zero, r, r)
-    for j in range(r):
-        a[j][j] = mu * q ** ((-j) % p.n)
-    b = mat_scale(_lift_into(_norm_scalar(p, gamma2), zero), identity(one, r))
-    c = mat_scale(_lift_into(_norm_scalar(p, gamma3), zero), identity(one, r))
-    x = zeros(zero, r, r)
-    for j in range(r - 1):
-        x[j + 1][j] = one
-    y = zeros(zero, r, r)
-    for j in range(1, r):
-        y[j - 1][j] = ks[j - 1]
     label = SimpleLabel("Vr", _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % p.n, r=r)
-    return ModuleRep(r, {"a": a, "b": b, "c": c, "x": x, "y": y}, label, p)
+    return _chain_module(p, label, zero, mu, gamma2, gamma3, "x", zero, ks[:-1], zero)
 
 
-def _chain_VI(p: AlgebraParams, mu, gamma2, gamma3, B, k1):
-    """kappa_0..kappa_{n-1} for V_I from the seed k1 (kappa_0 = k1)."""
-    zero = mu.zero()
-    q = _lift_into(p.q, zero)
-    b3 = _lift_into(p.beta[2], zero)
-    g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
-    qn1_inv = q ** (-p.n1)
-    mu2 = mu ** (2 * p.n1)
-    chain = [B * k1]  # mu_0 = B * kappa_0
-    for j in range(p.n - 1):
-        c_j = b3 * (mu2 * q ** ((-2 * j * p.n1) % p.n) - g2g3)
-        chain.append(qn1_inv * chain[-1] + c_j)
-    c_last = b3 * (mu2 * q ** ((-2 * (p.n - 1) * p.n1) % p.n) - g2g3)
-    if not (chain[0] - (qn1_inv * chain[-1] + c_last)).is_zero():
-        raise InternalInconsistency("V_I wrap recurrence is inconsistent (t = 1 case)")
-    return [k1] + chain[1:]
+def _build_cyclic(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, kseed) -> ModuleRep:
+    """V_I (x the up-shift with wrap beta1'', y the k-chain) or its mirror V_II
+    (y the up-shift with wrap beta2'', x the k-chain)."""
+    b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
+    _check_cyclic_kind(kind, b1, b2)
+    zero = common_field_zero(p, mu, kseed)
+    kseed = _lift_into(kseed, zero)
+    n = p.n
+    wrap, target = (b1, b2) if kind == "VI" else (b2, b1)
+    chain = [
+        _lift_into(alpha, zero) * kseed + _lift_into(delta, zero)
+        for alpha, delta in _seed_affine_chain(p, kind, mu, gamma2, gamma3, wrap, n)
+    ]
+    if not (chain[n] - chain[0]).is_zero():
+        raise InternalInconsistency(f"V_{kind[1:]} wrap recurrence is inconsistent (t = 1 case)")
+    coeffs = _by_position(kind, chain)
+    prod = kseed
+    for k in coeffs:
+        prod = prod * k
+    target = _lift_into(target, zero)
+    if not (prod - target).is_zero():
+        names = "beta2 (gamma1^n1 - gamma3^n)" if kind == "VI" else "beta1 (gamma1^n1 - gamma2^n)"
+        raise SeedConstraintViolated(f"k1...kn = {prod!r} != {names} = {target!r}")
+    label = SimpleLabel(
+        kind, _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % n, kseed=kseed
+    )
+    up = "x" if kind == "VI" else "y"
+    return _chain_module(p, label, zero, _lift_into(mu, zero), gamma2, gamma3, up, _lift_into(wrap, zero), coeffs, kseed)
 
 
 def build_VI(p: AlgebraParams, g1, gamma2, gamma3, i: int, k1) -> ModuleRep:
     """The n-dimensional simple with x an up-shift with wrap beta1''."""
-    b1, b2, b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
-    if b1.is_zero():
-        raise WrongType("VI requires beta1'' != 0")
-    zero = common_field_zero(p, mu, k1)
-    mu = _lift_into(mu, zero)
-    k1 = _lift_into(k1, zero)
-    q = _lift_into(p.q, zero)
-    n = p.n
-    B = _lift_into(b1, zero)
-    kappas = _chain_VI(p, mu, gamma2, gamma3, B, k1)
-    prod = kappas[0]
-    for k in kappas[1:]:
-        prod = prod * k
-    target = _lift_into(b2, zero)
-    if not (prod - target).is_zero():
-        raise SeedConstraintViolated(
-            f"k1...kn = {prod!r} != beta2 (gamma1^n1 - gamma3^n) = {target!r}"
-        )
-    one = zero.one()
-    a = zeros(zero, n, n)
-    for j in range(n):
-        a[j][j] = mu * q ** ((-j) % n)
-    bmat = mat_scale(_lift_into(_norm_scalar(p, gamma2), zero), identity(one, n))
-    cmat = mat_scale(_lift_into(_norm_scalar(p, gamma3), zero), identity(one, n))
-    x = zeros(zero, n, n)
-    for j in range(n - 1):
-        x[j + 1][j] = one
-    x[0][n - 1] = B
-    y = zeros(zero, n, n)
-    for j in range(1, n):
-        y[j - 1][j] = kappas[j]
-    y[n - 1][0] = kappas[0]
-    label = SimpleLabel(
-        "VI", _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % n, kseed=k1
-    )
-    return ModuleRep(n, {"a": a, "b": bmat, "c": cmat, "x": x, "y": y}, label, p)
-
-
-def _chain_VII(p: AlgebraParams, mu, gamma2, gamma3, B, kn):
-    """nu_n..nu_1 downward for V_II (nu_n = B * kn)."""
-    zero = mu.zero()
-    q = _lift_into(p.q, zero)
-    b3 = _lift_into(p.beta[2], zero)
-    g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
-    qn1_inv = q ** (-p.n1)
-    mu2 = mu ** (2 * p.n1)
-    n = p.n
-
-    def d(j):
-        return b3 * (mu2 * q ** ((2 * j * p.n1) % n) - g2g3)
-
-    nus = {n: B * kn}
-    for j in range(n - 1, 0, -1):
-        nus[j] = qn1_inv * nus[j + 1] + d(j)
-    if not (nus[n] - (qn1_inv * nus[1] + d(0))).is_zero():
-        raise InternalInconsistency("V_II wrap recurrence is inconsistent (t = 1 case)")
-    return nus
+    return _build_cyclic(p, "VI", g1, gamma2, gamma3, i, k1)
 
 
 def build_VII(p: AlgebraParams, g1, gamma2, gamma3, i: int, kn) -> ModuleRep:
     """Mirror of build_VI: y is the up-shift, x carries the k-coefficients."""
-    b1, b2, b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
-    if not b1.is_zero():
-        raise WrongType("VII requires beta1'' = 0")
-    if b2.is_zero():
-        raise WrongType("VII requires beta2'' != 0")
-    zero = common_field_zero(p, mu, kn)
-    mu = _lift_into(mu, zero)
-    kn = _lift_into(kn, zero)
-    q = _lift_into(p.q, zero)
-    n = p.n
-    B = _lift_into(b2, zero)
-    nus = _chain_VII(p, mu, gamma2, gamma3, B, kn)
-    prod = kn
-    for j in range(1, n):
-        prod = prod * nus[j]
-    target = _lift_into(b1, zero)
-    if not (prod - target).is_zero():
-        raise SeedConstraintViolated(
-            f"k1...kn = {prod!r} != beta1 (gamma1^n1 - gamma2^n) = {target!r}"
-        )
-    one = zero.one()
-    a = zeros(zero, n, n)
-    for j in range(n):
-        a[j][j] = mu * q ** (j % n)
-    bmat = mat_scale(_lift_into(_norm_scalar(p, gamma2), zero), identity(one, n))
-    cmat = mat_scale(_lift_into(_norm_scalar(p, gamma3), zero), identity(one, n))
-    y = zeros(zero, n, n)
-    for j in range(n - 1):
-        y[j + 1][j] = one
-    y[0][n - 1] = B
-    x = zeros(zero, n, n)
-    for j in range(1, n):
-        x[j - 1][j] = nus[j]
-    x[n - 1][0] = kn
-    label = SimpleLabel(
-        "VII", _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % n, kseed=kn
-    )
-    return ModuleRep(n, {"a": a, "b": bmat, "c": cmat, "x": x, "y": y}, label, p)
+    return _build_cyclic(p, "VII", g1, gamma2, gamma3, i, kn)
 
 
 def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
@@ -444,47 +420,13 @@ def _poly_mul(a, b, zero):
 
 def seed_polynomial(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int):
     """The degree-n constraint on the k-seed, as little-endian coefficients."""
-    b1, b2, b3c, mu = kind_conditions(p, g1, gamma2, gamma3, i)
+    b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
+    _check_cyclic_kind(kind, b1, b2)
     zero = mu.zero()
-    one = zero.one()
-    q = _lift_into(p.q, zero)
-    qn1_inv = q ** (-p.n1)
-    b3 = _lift_into(p.beta[2], zero)
-    g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
-    mu2 = mu ** (2 * p.n1)
-    n = p.n
-    if kind == "VI":
-        if b1.is_zero():
-            raise WrongType("VI requires beta1'' != 0")
-        target = b2
-        chain = [[zero, b1]]  # mu_0(s) = B s
-        for j in range(n - 1):
-            c_j = b3 * (mu2 * q ** ((-2 * j * p.n1) % n) - g2g3)
-            prev = chain[-1]
-            chain.append([qn1_inv * prev[0] + c_j, qn1_inv * prev[1]])
-        poly = [zero, one]
-        for aff in chain[1:]:
-            poly = _poly_mul(poly, aff, zero)
-    elif kind == "VII":
-        if not b1.is_zero():
-            raise WrongType("VII requires beta1'' = 0")
-        if b2.is_zero():
-            raise WrongType("VII requires beta2'' != 0")
-        target = b1
-
-        def d(j):
-            return b3 * (mu2 * q ** ((2 * j * p.n1) % n) - g2g3)
-
-        chain = {n: [zero, b2]}
-        for j in range(n - 1, 0, -1):
-            prev = chain[j + 1]
-            chain[j] = [qn1_inv * prev[0] + d(j), qn1_inv * prev[1]]
-        poly = [zero, one]
-        for j in range(1, n):
-            poly = _poly_mul(poly, chain[j], zero)
-    else:
-        raise WrongType("k-seeds exist only for kinds VI and VII")
-    poly[0] = poly[0] - target
+    poly = [zero, zero.one()]
+    for alpha, delta in _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2):
+        poly = _poly_mul(poly, [delta, alpha], zero)
+    poly[0] = poly[0] - (b2 if kind == "VI" else b1)
     return poly
 
 
@@ -500,13 +442,12 @@ def solve_k_seed(
     tower's field).  Raises FieldTooSmall when no in-field root is found and
     extensions are off.
     """
-    b1, b2, _b3, _mu = kind_conditions(p, g1, gamma2, gamma3, i)
+    b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     target = b2 if kind == "VI" else b1
     if target.is_zero():
         # P(s) = s * prod_j (alpha_j s + delta_j): roots are exact
         roots = [p.zero]
-        for aff in _seed_affine_chain(p, kind, g1, gamma2, gamma3, i):
-            delta, alpha = aff
+        for alpha, delta in _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2):
             if not alpha.is_zero():
                 root = -delta * alpha.inv()
                 if all(not (root - r).is_zero() for r in roots):
@@ -523,35 +464,6 @@ def solve_k_seed(
             "or retry with allow_extension=True"
         )
     return roots
-
-
-def _seed_affine_chain(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int):
-    """The affine forms mu_j(s) whose product (times s) is the seed constraint."""
-    b1, b2, b3c, mu = kind_conditions(p, g1, gamma2, gamma3, i)
-    zero = mu.zero()
-    q = _lift_into(p.q, zero)
-    qn1_inv = q ** (-p.n1)
-    b3 = _lift_into(p.beta[2], zero)
-    g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
-    mu2 = mu ** (2 * p.n1)
-    n = p.n
-    if kind == "VI":
-        chain = [[zero, b1]]
-        for j in range(n - 1):
-            c_j = b3 * (mu2 * q ** ((-2 * j * p.n1) % n) - g2g3)
-            prev = chain[-1]
-            chain.append([qn1_inv * prev[0] + c_j, qn1_inv * prev[1]])
-        return [(aff[0], aff[1]) for aff in chain[1:]]
-    if kind == "VII":
-        def d(j):
-            return b3 * (mu2 * q ** ((2 * j * p.n1) % n) - g2g3)
-
-        chain = {n: [zero, b2]}
-        for j in range(n - 1, 0, -1):
-            prev = chain[j + 1]
-            chain[j] = [qn1_inv * prev[0] + d(j), qn1_inv * prev[1]]
-        return [(chain[j][0], chain[j][1]) for j in range(1, n)]
-    raise WrongType("k-seeds exist only for kinds VI and VII")
 
 
 # -- verification -----------------------------------------------------------
@@ -659,8 +571,8 @@ def dual_module(p: AlgebraParams, m: ModuleRep) -> ModuleRep:
     )
 
 
-def intertwiner_space(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep):
-    """Basis of Hom(m1, m2) = {T : T h1 = h2 T for all generators}."""
+def _intertwiner_rows(m1: ModuleRep, m2: ModuleRep) -> list:
+    """Linear system T h1 = h2 T for all generators, T (dim m2 x dim m1) flattened row-major."""
     d1, d2 = m1.dim, m2.dim
     zero = m1.zero_scalar()
     rows = []
@@ -674,7 +586,13 @@ def intertwiner_space(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep):
                 for k in range(d2):
                     row[k * d1 + c] = row[k * d1 + c] - H2[r][k]
                 rows.append(row)
-    basis = nullspace(rows)
+    return rows
+
+
+def intertwiner_space(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep):
+    """Basis of Hom(m1, m2) = {T : T h1 = h2 T for all generators}."""
+    d1, d2 = m1.dim, m2.dim
+    basis = nullspace(_intertwiner_rows(m1, m2))
     return [[vec[r * d1 : (r + 1) * d1] for r in range(d2)] for vec in basis]
 
 
@@ -693,7 +611,7 @@ def modules_isomorphic(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep) -> bool:
             continue
     acc = None
     for T in homs:
-        acc = T if acc is None else [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, T)]
+        acc = T if acc is None else mat_add(acc, T)
         try:
             mat_inv(acc)
             return True
@@ -707,21 +625,10 @@ def is_split(p: AlgebraParams, ext: Extension) -> bool:
     total, quot = ext.total, ext.quot
     dt, dq = total.dim, quot.dim
     zero = total.zero_scalar()
-    rows = []
-    rhs = []
-    # unknowns: sigma[dt][dq], flattened row-major
-    for g in "abcxy":
-        Ht, Hq = total.mat(g), quot.mat(g)
-        for r in range(dt):
-            for c in range(dq):
-                row = [zero] * (dt * dq)
-                for k in range(dq):
-                    row[r * dq + k] = row[r * dq + k] + Hq[k][c]
-                for k in range(dt):
-                    row[k * dq + c] = row[k * dq + c] - Ht[r][k]
-                rows.append(row)
-                rhs.append(zero)
     one = total.one_scalar()
+    # unknowns: the section sigma (dt x dq), an intertwiner quot -> total with proj sigma = 1
+    rows = _intertwiner_rows(quot, total)
+    rhs = [zero] * len(rows)
     for r in range(dq):
         for c in range(dq):
             row = [zero] * (dt * dq)
@@ -841,8 +748,8 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
     for pdx in range(1, t + 1):
         a[pdx - 1][pdx - 1] = g1n * q ** ((i - pdx + 1) % n)
         a[t + pdx - 1][t + pdx - 1] = g1n * q ** ((i - t - pdx + 1) % n)
-    bmat = mat_scale(_lift_into(_norm_scalar(p, gamma2), zero), identity(one, d))
-    cmat = mat_scale(_lift_into(_norm_scalar(p, gamma3), zero), identity(one, d))
+    bmat = _scalar_mat(p, gamma2, zero, d)
+    cmat = _scalar_mat(p, gamma3, zero, d)
     x = zeros(zero, d, d)
     for pdx in range(d - 1):
         x[pdx + 1][pdx] = one

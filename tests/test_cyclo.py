@@ -122,3 +122,17 @@ def test_canonical_zero_and_equality_across_moduli():
     a = root_of_unity(12, 4) - root_of_unity(3, 1)
     assert a.is_zero()
     assert rational(Fraction(1, 2), 8) == rational(Fraction(1, 2), 6)
+
+
+def test_hash_agrees_with_equality_across_moduli():
+    i4 = root_of_unity(4, 1)
+    i8, i12 = i4.embed(8), i4.embed(12)
+    assert i4 == i8 == i12
+    assert hash(i4) == hash(i8) == hash(i12)
+    assert len({i4, i8, i12}) == 1
+    assert hash(rational(3, 12)) == hash(3) == hash(rational(3))
+    rng = random.Random(5)
+    for m in (3, 4, 6, 10):
+        x = CycScalar(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(m))])
+        for k in (2, 3, 4):
+            assert hash(x.embed(k * m)) == hash(x)

@@ -138,13 +138,13 @@ def test_star1_at_larger_t():
 
 def test_associativity_over_extension_tower():
     """(x* x*) x* = x* (x* x*) when the k-seeds live in a cubic extension."""
-    from hopfsl2.grothendieck import GRingElement
+    from hopfsl2.fusion import FusionVector
 
     pA = AlgebraParams(3, 1, beta=(1, 1, 0), extra_orders=(6,))
     ctx = GelakiContext(pA, 6)
     labels = [lab for lab, _key in ctx.labels() if lab.kind == "VI"]
     assert len(labels) == 3  # three non-isomorphic seed-classes
-    xs = GRingElement(pA, {labels[0]: 1})
+    xs = FusionVector({labels[0]: 1})
     left = gr_mul(pA, gr_mul(pA, xs, xs), xs)
     right = gr_mul(pA, xs, gr_mul(pA, xs, xs))
     assert left == right
@@ -206,3 +206,42 @@ def test_compare_rings_inequal_pair():
     pB = AlgebraParams(3, 1, beta=(0, 0, 1), extra_orders=(6,))
     rep = compare_fusion_rings(GelakiContext(pA, 6), GelakiContext(pB, 6))
     assert not rep["equal"]
+
+
+CHAIN_SPLIT = ("proof(chain split per slot)", True, True)
+
+
+@pytest.mark.parametrize(
+    "suite, beta, extra, relation, expected",
+    [
+        ("thm5.5", (0, 0, 1), (4, 8), "thm5.5.zprime_zprime", [
+            [CHAIN_SPLIT, ("printed(s'' z')", True, True), ("thm5.19 variant(g^(n-t) s'' z')", True, True)],
+            [CHAIN_SPLIT],
+        ]),
+        ("thm5.8", (1, 0, 1), (9, 4), "thm5.8.zd_zd", [
+            [CHAIN_SPLIT, ("printed(s'' z''_(xi xi'))", True, True)],
+            [CHAIN_SPLIT],
+        ]),
+        ("thm5.17", (0, 1, 1), (9, 4), "thm5.17.zt_zt", [
+            [CHAIN_SPLIT, ("printed(s'' z~_(xi xi'))", True, True)],
+            [CHAIN_SPLIT],
+        ]),
+        ("thm5.10", (1, 0, 0), (9,), "x_times_x", [
+            [("[unique x unique]: n V_I constituents", True, True), ("printed(s VI class)", True, True)],
+            [("[unique x unique]: n s g (V0 ladder)", True, True)],
+        ]),
+        ("thm5.13", (0, 1, 0), (9,), "y_times_y", [
+            [("[unique x unique]: n V_II constituents", True, True), ("printed(s VII class)", True, True)],
+            [("[unique x unique]: n s g (V0 ladder)", True, True)],
+        ]),
+    ],
+)
+def test_reading_names_of_mirrored_relations(suite, beta, extra, relation, expected):
+    """The readings (name, applicable, holds) each instance reports, in order."""
+    p = AlgebraParams(3, 1, beta=beta, extra_orders=extra)
+    got = [
+        [(r.name, r.applicable, r.holds) for r in verify_relation(p, rid, **bindings).readings]
+        for rid, bindings in default_suite_instances(p, suite)
+        if rid == relation
+    ]
+    assert got == expected
