@@ -17,9 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import CycScalar, common_modulus, rational, root_of_unity
+
+if TYPE_CHECKING:
+    from .fusion import CharacterBasis
 
 __all__ = [
     "Monomial",
@@ -300,10 +303,10 @@ class AlgebraParams:
         self._straighten: dict[tuple[int, int], dict] = {}
         self._delta_pow: dict[tuple[str, int], TensorElement] = {}
         self._s_pow: dict[tuple[str, int], Element] = {}
-        # fusion-layer caches: candidate simples per central character
-        # (fusion.candidate_simples) and fuse results per class pair
-        # (grothendieck.gr_mul)
-        self._cand_cache: dict[tuple, list] = {}
+        # fusion-layer caches: the candidate simples and their trace rows per
+        # central character (fusion.candidate_simples) and fuse results per
+        # class pair (grothendieck.gr_mul)
+        self._character_bases: dict[tuple, CharacterBasis] = {}
         self._fuse_cache: dict[tuple, object] = {}
 
     # -- scalars ------------------------------------------------------

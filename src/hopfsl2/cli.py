@@ -1,7 +1,9 @@
 """Command-line front end: axiom suites, module construction, fusion and
 relation verification, with machine-readable JSON reports.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error.
+Exit codes: 0 all requested checks pass, 1 a check failed (an ArithmeticError
+of the library included: its report carries "error": {class, message}),
+2 usage error.
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -449,6 +451,12 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a math failure of the library: a failed check, reported as such
+        error = {"class": type(exc).__name__, "message": str(exc)}
+        print(f"error: {error['class']}: {error['message']}", file=sys.stderr)
+        emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": False, "error": error})
+        return 1
 
 
 if __name__ == "__main__":

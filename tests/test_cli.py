@@ -148,3 +148,26 @@ def test_cli_config_file(tmp_path, capsys):
 
 def test_cli_usage_error(capsys):
     assert main(["fuse", "--n", "3"]) == 2
+
+
+def test_cli_library_arithmetic_error_is_a_failed_check(monkeypatch, capsys):
+    """A math failure of the library exits 1 with a report, not a traceback."""
+    import hopfsl2.cli as cli
+    from hopfsl2.fusion import NoIntegerSolution
+
+    def failing_fuse(*args, **kwargs):
+        raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
+
+    monkeypatch.setattr(cli, "fuse", failing_fuse)
+    code = main(["fuse", "--n", "3", "--n1", "1", "--beta", "0,0,1",
+                 "--left", "Vr(sq,1,1;0)", "--right", "Vr(sq,1,1;0)"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1
+    assert rep["schema"] == "hopfsl2/report-v1" and rep["command"] == "fuse"
+    assert rep["pass"] is False
+    assert rep["error"] == {
+        "class": "NoIntegerSolution",
+        "message": "trace system is inconsistent (missing candidate?)",
+    }
+    assert "error: NoIntegerSolution: trace system is inconsistent" in captured.err

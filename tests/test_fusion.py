@@ -1,23 +1,37 @@
+import gc
+import weakref
+
 import pytest
 
+from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
+from hopfsl2.extfield import ExtScalar
 from hopfsl2.fusion import (
     FusionVector,
+    NoIntegerSolution,
+    RankDeficient,
+    _dense_traces,
     candidate_simples,
     class_of,
     decompose,
     fuse,
     fusion_table,
     tensor,
+    trace_vector,
 )
+from hopfsl2.linalg import mat_inv, mat_mul
 from hopfsl2.modules import (
+    ModuleRep,
     SimpleLabel,
     build_simple,
     build_V0,
+    build_VI,
+    build_VII,
     build_Vr,
     dual_module,
     modules_isomorphic,
+    solve_k_seed,
     verify_module,
 )
 
@@ -216,3 +230,81 @@ def test_dimension_conservation(pb3):
     p = pb3
     fv = fuse(p, z3_label(p), z3_label(p))
     assert fv.total_dim() == 9
+
+
+# -- the two trace paths, the decompose error paths, the cache owner -----------
+
+
+def _conjugate(m, P, Pinv):
+    """m with every generator replaced by P g P^-1 (an isomorphic module)."""
+    mats = {g: mat_mul(mat_mul(P, m.mat(g)), Pinv) for g in "abcxy"}
+    return ModuleRep(m.dim, mats, m.label, m.params)
+
+
+def _trace_path_modules():
+    """(params, module) pairs: V0, Vr, VI, VII, a tensor product, and a VI
+    whose k-seed lives in the cubic tower of the thm5.19 point."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    z2, z3 = build_simple(p, z2_label(p)), build_simple(p, z3_label(p))
+    out = [(p, build_V0(p, 1, 1, 1, 0)), (p, z2), (p, z3), (p, tensor(p, z2, z3))]
+    z9 = root_of_unity(9, 1)
+    p1 = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(9,))
+    out.append((p1, build_VI(p1, z9, 1, 1, 0, p1.zero)))
+    p2 = AlgebraParams(3, 1, beta=(0, 1, 0), extra_orders=(9,))
+    out.append((p2, build_VII(p2, z9, 1, 1, 0, p2.zero)))
+    p3 = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z36 = root_of_unity(36, 1)
+    seeds = solve_k_seed(p3, "VI", z36, 1, 1, 0, allow_extension=True)
+    tower_seed = next(s for s in seeds if isinstance(s, ExtScalar))
+    out.append((p3, build_VI(p3, z36, 1, 1, 0, tower_seed)))
+    return out
+
+
+def test_weight_space_traces_match_dense_traces():
+    """trace_vector on a diagonal a (weight spaces) agrees entry by entry with
+    the dense products, both on the module itself and, through the dense path
+    that a non-diagonal a takes, on a conjugate of it."""
+    seen_tower = False
+    for p, m in _trace_path_modules():
+        jmax = 2 * p.n
+        keys = [t.key() for t in trace_vector(p, m, jmax)]
+        assert keys == [t.key() for t in _dense_traces(p, m, jmax)], m.label
+        seen_tower |= isinstance(m.zero_scalar(), ExtScalar)
+        if m.dim == 1:
+            continue  # every 1x1 a is diagonal
+        one = m.one_scalar()
+        P = [[one if j >= i else one.zero() for j in range(m.dim)] for i in range(m.dim)]
+        conj = _conjugate(m, P, mat_inv(P))
+        A = conj.mat("a")
+        assert any(not A[i][j].is_zero() for i in range(m.dim) for j in range(m.dim) if i != j)
+        assert [t.key() for t in trace_vector(p, conj, jmax)] == keys, m.label
+    assert seen_tower
+
+
+def test_decompose_raises_rank_deficient_on_repeated_candidate(monkeypatch):
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    listed = fusion.candidate_simples
+    monkeypatch.setattr(fusion, "candidate_simples", lambda *a, **kw: listed(*a, **kw) + listed(*a, **kw)[:1])
+    with pytest.raises(RankDeficient, match="linearly dependent"):
+        fuse(p, z3_label(p), z3_label(p))
+
+
+def test_decompose_raises_no_integer_solution_on_missing_candidate(monkeypatch):
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    summand = next(iter(fuse(p, z3_label(p), z3_label(p)).entries))
+    listed = fusion.candidate_simples
+    monkeypatch.setattr(
+        fusion, "candidate_simples", lambda *a, **kw: [c for c in listed(*a, **kw) if c[0] != summand]
+    )
+    with pytest.raises(NoIntegerSolution, match="inconsistent"):
+        fuse(p, z3_label(p), z3_label(p))
+
+
+def test_candidate_simples_die_with_their_params():
+    """The trace bases are cached in the AlgebraParams, not in the module:
+    dropping the parameters frees the candidate simples."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    ref = weakref.ref(candidate_simples(p, p.one, p.one, p.one)[0][1])
+    del p
+    gc.collect()
+    assert ref() is None
