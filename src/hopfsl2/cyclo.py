@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-Scalars are represented in the canonical basis 1, zeta, ..., zeta^(phi(M)-1)
-modulo the M-th cyclotomic polynomial, with arbitrary-precision rational
-coefficients.  Reduction mod Phi_M (rather than mod x^M - 1) makes equality
+A scalar is a vector of integer numerators over one positive common
+denominator, in the canonical basis 1, zeta, ..., zeta^(phi(M)-1) modulo the
+M-th cyclotomic polynomial (the representation of FLINT's ``fmpq_poly``).  It
+is kept in normal form: gcd(numerators, denominator) = 1, and zero is
+(0, ..., 0)/1.  Reduction mod Phi_M (rather than mod x^M - 1) makes equality
 testing canonical: two scalars over the same modulus are equal iff their
-coefficient vectors are equal.  No floating point is used anywhere.
+numerators and denominators are equal.  Phi_M is monic with integer
+coefficients, so products reduce in the integers and only the final gcd pass
+divides.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ __all__ = [
     "common_modulus",
     "parse_scalar",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -104,58 +105,93 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _field_data(m: int):
-    """Reduction rows x^e mod Phi_m for e < max(m, 2*phi-1), as Fraction tuples."""
+    """Reduction rows x^e mod Phi_m for e < max(m, 2*phi-1), as int tuples
+    (Phi_m is monic with integer coefficients), and x^phi mod Phi_m as its
+    nonzero (index, coefficient) pairs."""
     phi = euler_phi(m)
     mod = cyclotomic_polynomial(m)
     # x^phi = -(mod[0] + ... + mod[phi-1] x^(phi-1))
-    top = tuple(Fraction(-c) for c in mod[:phi])
-    rows: list[tuple[Fraction, ...]] = []
+    top = tuple(-c for c in mod[:phi])
+    wrap = tuple((i, c) for i, c in enumerate(top) if c)
+    rows: list[tuple[int, ...]] = []
     for e in range(phi):
-        rows.append(tuple(_ONE if i == e else _ZERO for i in range(phi)))
+        rows.append(tuple(1 if i == e else 0 for i in range(phi)))
     need = max(m, 2 * phi - 1)
     for _ in range(phi, need):
         prev = rows[-1]
-        shifted = [_ZERO] + list(prev[:-1])
+        shifted = [0] + list(prev[:-1])
         lead = prev[-1]
         if lead:
             for i in range(phi):
                 shifted[i] += lead * top[i]
         rows.append(tuple(shifted))
-    return phi, rows
+    return phi, rows, wrap
 
 
 @lru_cache(maxsize=None)
-def _trace_weights(m: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_m^e)/phi(m) for e < phi(m).  zeta_m^e is a primitive f-th root
-    of unity, f = m/gcd(e, m), so the weight is moebius(f)/phi(f)."""
-    out = []
+def _trace_weights(m: int) -> tuple[tuple[int, ...], int]:
+    """Tr(zeta_m^e)/phi(m) for e < phi(m), as integer numerators over one
+    common denominator.  zeta_m^e is a primitive f-th root of unity,
+    f = m/gcd(e, m), so the weight is moebius(f)/phi(f)."""
+    weights = []
     for e in range(euler_phi(m)):
         f = m // math.gcd(e, m)
         fac = _factorize(f)
         moebius = 0 if any(k > 1 for k in fac.values()) else (-1) ** len(fac)
-        out.append(Fraction(moebius, euler_phi(f)))
-    return tuple(out)
+        weights.append(Fraction(moebius, euler_phi(f)))
+    den = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+
+
+def _scalar(m: int, num: tuple[int, ...], den: int) -> "CycScalar":
+    """Trusted constructor for results computed in this module: num holds
+    phi(m) ints and den > 0.  Divides out gcd(num, den), nothing else."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    out = object.__new__(CycScalar)
+    out.m = m
+    out.num = num
+    out.den = den
+    return out
+
+
+def _rational(m: int, p: int, q: int) -> "CycScalar":
+    """p/q in Q(zeta_m), for coprime p and q > 0 (the fields of a Fraction)."""
+    out = object.__new__(CycScalar)
+    out.m = m
+    out.num = (p,) + (0,) * (euler_phi(m) - 1)
+    out.den = q
+    return out
 
 
 class CycScalar:
-    """An exact element of Q(zeta_m)."""
+    """An exact element of Q(zeta_m): integer numerators ``num`` in the basis
+    1, zeta_m, ..., zeta_m^(phi(m)-1) over the common denominator ``den``,
+    with den > 0 and gcd(num, den) = 1."""
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs):
         phi = euler_phi(m)
-        c = tuple(Fraction(x) for x in coeffs)
+        c = [Fraction(x) for x in coeffs]
         if len(c) != phi:
             raise ValueError(f"expected {phi} coefficients for modulus {m}, got {len(c)}")
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so this is already the normal form
+        den = math.lcm(*(x.denominator for x in c))
         self.m = m
-        self.c = c
+        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(x, m: int = 1) -> "CycScalar":
-        phi = euler_phi(m)
-        return CycScalar(m, (Fraction(x),) + (_ZERO,) * (phi - 1))
+        f = x if isinstance(x, int) else Fraction(x)
+        return _rational(m, f.numerator, f.denominator)
 
     def zero(self) -> "CycScalar":
         return CycScalar.from_rational(0, self.m)
@@ -172,28 +208,27 @@ class CycScalar:
         if m2 % self.m != 0:
             raise IncompatibleModulus(f"{m2} is not a multiple of {self.m}")
         step = m2 // self.m
-        phi2, rows2 = _field_data(m2)
-        acc = [_ZERO] * phi2
-        for e, coeff in enumerate(self.c):
-            if coeff:
-                row = rows2[(e * step) % m2]
-                for i in range(phi2):
-                    if row[i]:
-                        acc[i] += coeff * row[i]
-        return CycScalar(m2, acc)
+        phi2, rows2, _wrap = _field_data(m2)
+        acc = [0] * phi2
+        for e, x in enumerate(self.num):
+            if x:
+                for i, r in enumerate(rows2[(e * step) % m2]):
+                    if r:
+                        acc[i] += x * r
+        return _scalar(m2, tuple(acc), self.den)
 
     def _pair(self, other):
         if isinstance(other, CycScalar):
             if other.m == self.m:
                 return self, other
             if other.m == 1:
-                return self, CycScalar.from_rational(other.c[0], self.m)
+                return self, _rational(self.m, other.num[0], other.den)
             if self.m == 1:
-                return CycScalar.from_rational(self.c[0], other.m), other
+                return _rational(other.m, self.num[0], self.den), other
             m = self.m * other.m // math.gcd(self.m, other.m)
             return self.embed(m), other.embed(m)
         if isinstance(other, (int, Fraction)):
-            return self, CycScalar.from_rational(other, self.m)
+            return self, _rational(self.m, other.numerator, other.denominator)
         return NotImplemented, None
 
     # -- ring operations ----------------------------------------------
@@ -202,7 +237,12 @@ class CycScalar:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycScalar(a.m, tuple(x + y for x, y in zip(a.c, b.c)))
+        da, db = a.den, b.den
+        if da == db:
+            return _scalar(a.m, tuple([x + y for x, y in zip(a.num, b.num)]), da)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return _scalar(a.m, tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]), den)
 
     __radd__ = __add__
 
@@ -210,90 +250,102 @@ class CycScalar:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycScalar(a.m, tuple(x - y for x, y in zip(a.c, b.c)))
+        da, db = a.den, b.den
+        if da == db:
+            return _scalar(a.m, tuple([x - y for x, y in zip(a.num, b.num)]), da)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return _scalar(a.m, tuple([x * fa - y * fb for x, y in zip(a.num, b.num)]), den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycScalar(self.m, tuple(-x for x in self.c))
+        return _scalar(self.m, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycScalar(self.m, tuple(x * f for x in self.c))
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        if isinstance(other, CycScalar):
+            a, b = (self, other) if other.m == self.m else self._pair(other)
+        elif isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return _scalar(self.m, tuple([x * p for x in self.num]), self.den * other.denominator)
+        else:
             return NotImplemented
-        if b.is_rational():
-            f = b.c[0]
-            return CycScalar(a.m, tuple(x * f for x in a.c))
-        if a.is_rational():
-            f = a.c[0]
-            return CycScalar(a.m, tuple(x * f for x in b.c))
-        phi, rows = _field_data(a.m)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.c):
+        an, bn = a.num, b.num
+        # a rational factor scales the numerators; the factor 1 (most products
+        # of the algebra layer) returns the other one as it is
+        if not any(bn[1:]):
+            p = bn[0]
+            if p == 1 and b.den == 1:
+                return a
+            return _scalar(a.m, tuple([x * p for x in an]), a.den * b.den)
+        if not any(an[1:]):
+            p = an[0]
+            if p == 1 and a.den == 1:
+                return b
+            return _scalar(a.m, tuple([x * p for x in bn]), a.den * b.den)
+        phi, _rows, wrap = _field_data(a.m)
+        bnz = [(j, y) for j, y in enumerate(bn) if y]
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        prod[i + j] += x * y
-        acc = list(prod[:phi])
-        for e in range(phi, 2 * phi - 1):
-            coeff = prod[e]
-            if coeff:
-                row = rows[e]
-                for i in range(phi):
-                    if row[i]:
-                        acc[i] += coeff * row[i]
-        return CycScalar(a.m, acc)
+                for j, y in bnz:
+                    prod[i + j] += x * y
+        # fold the top degree down with x^phi = sum over wrap of c x^i
+        for e in range(2 * phi - 2, phi - 1, -1):
+            x = prod[e]
+            if x:
+                for i, c in wrap:
+                    prod[e - phi + i] += x * c
+        return _scalar(a.m, tuple(prod[:phi]), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        m, num, den = self.m, self.num, self.den
         if self.is_rational():
-            return CycScalar.from_rational(1 / self.c[0], self.m)
-        mod = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        # extended gcd of self (as polynomial) and Phi_m over Q[x]
-        r0, r1 = mod, list(self.c)
-        s0, s1 = [_ZERO], [_ONE]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            f = r0[d0] / r1[d1]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= f * r1[i]
-            s1p = [_ZERO] * shift + s1
-            if len(s0) < len(s1p):
-                s0 = s0 + [_ZERO] * (len(s1p) - len(s0))
-            for i in range(len(s1p)):
-                s0[i] -= f * s1p[i]
-        if deg(r1) != 0:
-            raise DivisionByZero("not invertible (unexpected for a field)")
-        unit = r1[0]
-        phi = euler_phi(self.m)
-        out = [_ZERO] * phi
-        for i, x in enumerate(s1):
-            if i < phi:
-                out[i] = x / unit
-            elif x:
-                raise ArithmeticError("xgcd cofactor degree overflow")
-        return CycScalar(self.m, out)
+            p = num[0]
+            return _rational(m, den, p) if p > 0 else _rational(m, -den, -p)
+        # num(x)^-1 mod Phi_m solves A y = e_0, where column j of A is
+        # num(x) * x^j mod Phi_m.  Fraction-free Gauss-Jordan (every division
+        # by the previous pivot is exact) leaves the last pivot P on the whole
+        # diagonal and P*y in the last column, so self^-1 = den * y.
+        phi, _rows, wrap = _field_data(m)
+        cols = []
+        v = list(num)
+        for _ in range(phi):
+            cols.append(v)
+            lead = v[-1]
+            v = [0] + v[:-1]
+            if lead:
+                for i, r in wrap:
+                    v[i] += lead * r
+        a = [[col[i] for col in cols] + [1 if i == 0 else 0] for i in range(phi)]
+        prev = 1
+        for k in range(phi):
+            if not a[k][k]:
+                for r in range(k + 1, phi):
+                    if a[r][k]:
+                        a[k], a[r] = a[r], a[k]
+                        break
+                else:
+                    raise DivisionByZero("not invertible (unexpected for a field)")
+            rk = a[k]
+            piv = rk[k]
+            for i in range(phi):
+                if i == k:
+                    continue
+                ri = a[i]
+                f = ri[k]
+                for j in range(k + 1, phi + 1):
+                    ri[j] = (piv * ri[j] - f * rk[j]) // prev
+                ri[k] = 0
+            prev = piv
+        if prev < 0:
+            return _scalar(m, tuple([-den * row[phi] for row in a]), -prev)
+        return _scalar(m, tuple([den * row[phi] for row in a]), prev)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -320,36 +372,46 @@ class CycScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, CycScalar):
+            a, b = self._pair(other)
+            return a.num == b.num and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.c[0] == other
-        if not isinstance(other, CycScalar):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.c == b.c
+            return (
+                self.is_rational()
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
         # hash the normalised trace Tr(x)/phi(m): embedding into a larger
         # modulus leaves it unchanged (values equal across moduli hash alike),
         # and for a rational it is the rational itself
-        return hash(sum(x * w for x, w in zip(self.c, _trace_weights(self.m)) if x))
+        weights, wden = _trace_weights(self.m)
+        return hash(Fraction(sum(x * w for x, w in zip(self.num, weights) if x), wden * self.den))
+
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coordinates in the basis 1, zeta_m, ..., as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     def key(self):
         """Canonical sort/identity key within a fixed modulus."""
-        return (self.m, self.c)
+        return (self.m, self.coefficients())
 
     # -- root-of-unity structure ---------------------------------------
 
@@ -377,7 +439,7 @@ class CycScalar:
         zinv = root_of_unity(L, -1)
         for k in range(L):
             if x.is_rational():
-                return (x.c[0], k, L)
+                return (x.as_fraction(), k, L)
             x = x * zinv
         return None
 
@@ -387,7 +449,7 @@ class CycScalar:
         return self.serialize()
 
     def serialize(self) -> str:
-        body = ", ".join(str(x) for x in self.c)
+        body = ", ".join(str(x) for x in self.coefficients())
         return f"cyc({self.m}; {body})"
 
 
@@ -395,8 +457,8 @@ def root_of_unity(m: int, k: int) -> CycScalar:
     """zeta_m^k in canonical form."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    phi, rows = _field_data(m)
-    return CycScalar(m, rows[k % m])
+    _phi, rows, _wrap = _field_data(m)
+    return _scalar(m, rows[k % m], 1)
 
 
 def rational(x, m: int = 1) -> CycScalar:

@@ -22,7 +22,7 @@ principle: trace functions determine composition factors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraParams
@@ -84,6 +84,12 @@ class CanonLabel:
     dim: int
     fingerprint: tuple
     display: SimpleLabel = None
+    # labels key the dicts of fusion and Grothendieck-ring products, and the
+    # fingerprint nests Fraction tuples: hash it once, at construction
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.fingerprint)))
 
     def __eq__(self, other):
         if not isinstance(other, CanonLabel):
@@ -95,7 +101,7 @@ class CanonLabel:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.dim, self.fingerprint))
+        return self._hash
 
     def __str__(self):
         return str(self.display) if self.display is not None else f"{self.kind}[dim {self.dim}]"

@@ -3,8 +3,12 @@
 The word rewriter below normalizes products letter by letter (one adjacent
 rewrite per step, no caching, no power bookkeeping) and is kept deliberately
 separate from the package's straightening engine so the two can check each
-other.
+other.  The scalar oracle at the end computes in Q[x]/(x^M - 1) over
+Fraction coefficients and folds into the Phi_M basis only at the end, so it
+shares no code with the integer-vector arithmetic of hopfsl2.cyclo.
 """
+
+from fractions import Fraction
 
 from hopfsl2.algebra import Element, Monomial
 from hopfsl2.cyclo import CycScalar
@@ -134,3 +138,99 @@ def brute_tensor_square_of_x(p):
         }
     )
     return p.tensor_mul(dx, dx)
+
+
+# -- scalar oracle: Q[x]/(x^M - 1) with Fraction coefficients ----------------
+#
+# Arithmetic modulo x^M - 1 needs no cyclotomic polynomial at all; only the
+# final fold into the basis 1, zeta, ..., zeta^(phi(M)-1) divides by Phi_M,
+# which is built here from the Moebius product formula rather than by the
+# package's recursive division.
+
+
+def _moebius(k: int) -> int:
+    out, d = 1, 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if k > 1 else out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of Fraction polynomials (little-endian), den monic."""
+    num = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        q[i] = c
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    return q, num[: len(den) - 1]
+
+
+def oracle_cyclotomic(M: int) -> list:
+    """Phi_M = prod over d | M of (x^d - 1)^moebius(M/d)."""
+    top, bottom = [Fraction(1)], [Fraction(1)]
+    for d in range(1, M + 1):
+        if M % d == 0:
+            mu = _moebius(M // d)
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if mu == 1:
+                top = _poly_mul(top, factor)
+            elif mu == -1:
+                bottom = _poly_mul(bottom, factor)
+    q, r = _poly_divmod(top, bottom)
+    assert not any(r)
+    return q
+
+
+class CyclicOracle:
+    """An element of Q[x]/(x^M - 1) whose image in Q(zeta_M) is the scalar."""
+
+    def __init__(self, M: int, coeffs):
+        self.M = M
+        self.c = [Fraction(0)] * M
+        for e, x in enumerate(coeffs):
+            self.c[e % M] += Fraction(x)
+
+    def __add__(self, other):
+        return CyclicOracle(self.M, [x + y for x, y in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return CyclicOracle(self.M, [x - y for x, y in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return CyclicOracle(self.M, [-x for x in self.c])
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * self.M
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in enumerate(other.c):
+                    out[(i + j) % self.M] += x * y
+        return CyclicOracle(self.M, out)
+
+    def embed(self, M2: int) -> "CyclicOracle":
+        """zeta_M = zeta_M2^(M2/M)."""
+        step = M2 // self.M
+        out = [Fraction(0)] * M2
+        for e, x in enumerate(self.c):
+            out[e * step] += x
+        return CyclicOracle(M2, out)
+
+    def fold(self) -> tuple:
+        """Coordinates in the basis 1, zeta_M, ..., zeta_M^(phi(M)-1)."""
+        _q, r = _poly_divmod(self.c, oracle_cyclotomic(self.M))
+        return tuple(r)

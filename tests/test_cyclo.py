@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import CyclicOracle
 
 from hopfsl2.cyclo import (
     CycScalar,
@@ -136,3 +138,116 @@ def test_hash_agrees_with_equality_across_moduli():
         x = CycScalar(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(m))])
         for k in (2, 3, 4):
             assert hash(x.embed(k * m)) == hash(x)
+
+
+def test_key_is_modulus_and_fraction_coefficients():
+    # fingerprints, seed order and fusion output order sort on key()
+    rng = random.Random(17)
+    for m in (1, 2, 3, 4, 6, 9, 12, 36):
+        for _ in range(20):
+            coeffs = [Fraction(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(euler_phi(m))]
+            assert CycScalar(m, coeffs).key() == (m, tuple(coeffs))
+
+
+# -- properties against the Q[x]/(x^M - 1) oracle (needs hypothesis) ----------
+
+MODULI = (1, 2, 3, 4, 6, 9, 12, 36)
+
+
+def _strategies():
+    """(hypothesis, scalar_data strategy); skips the calling test when
+    hypothesis is not installed, so the rest of this file runs without it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # 0, 1 and unit fractions hit the short paths of the rational factor
+    units = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3)])
+    coeff = st.one_of(units, st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+    def coeff_list(m):
+        phi = euler_phi(m)
+        full = st.lists(coeff, min_size=phi, max_size=phi)
+        rational = coeff.map(lambda c: [c] + [Fraction(0)] * (phi - 1))
+        return st.one_of(full, rational)
+
+    scalar_data = st.sampled_from(MODULI).flatmap(
+        lambda m: st.tuples(st.just(m), coeff_list(m), coeff_list(m))
+    )
+    return hypothesis, scalar_data
+
+
+def _assert_normal(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def test_ring_operations_match_cyclic_oracle():
+    hypothesis, scalar_data = _strategies()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(scalar_data, hypothesis.strategies.fractions(max_denominator=9))
+    @hypothesis.example((6, [Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(0)]), Fraction(1, 3))
+    def check(data, f):
+        m, a, b = data
+        x, y = CycScalar(m, a), CycScalar(m, b)
+        ox, oy = CyclicOracle(m, a), CyclicOracle(m, b)
+        for got, want in (
+            (x * y, ox * oy),
+            (x + y, ox + oy),
+            (x - y, ox - oy),
+            (-x, -ox),
+            (x * f, ox * CyclicOracle(m, [f])),
+            (x * rational(f, m), ox * CyclicOracle(m, [f])),
+            (rational(f, m) * x, ox * CyclicOracle(m, [f])),
+            (x - x, ox - ox),
+        ):
+            _assert_normal(got)
+            assert got.coefficients() == want.fold()
+        for k in (2, 3):
+            got = x.embed(k * m)
+            _assert_normal(got)
+            assert got.coefficients() == ox.embed(k * m).fold()
+        if not x.is_zero():
+            xi = x.inv()
+            _assert_normal(xi)
+            assert (ox * CyclicOracle(m, xi.coefficients())).fold() == CyclicOracle(m, [1]).fold()
+
+    check()
+
+
+def test_serialize_roundtrip_property():
+    hypothesis, scalar_data = _strategies()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(scalar_data)
+    def check(data):
+        m, a, _b = data
+        x = CycScalar(m, a)
+        y = parse_scalar(x.serialize())
+        assert (y.m, y.num, y.den) == (x.m, x.num, x.den)
+        assert y.serialize() == x.serialize()
+
+    check()
+
+
+def test_hash_agrees_with_equality_property():
+    hypothesis, scalar_data = _strategies()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(scalar_data, hypothesis.strategies.sampled_from(MODULI))
+    def check(data, m2):
+        m, a, b = data
+        x, y = CycScalar(m, a), CycScalar(m, b)
+        for k in (2, 3, 4):
+            assert x.embed(k * m) == x and hash(x.embed(k * m)) == hash(x)
+        # x + 0 lands in lcm(m, m2): equal to x, so it hashes alike
+        z = x + rational(0, m2)
+        assert z == x and hash(z) == hash(x)
+        if x.is_rational():
+            assert x == x.as_fraction() and hash(x) == hash(x.as_fraction())
+        assert (x == y) == (x.coefficients() == y.coefficients())
+        if x == y:
+            assert hash(x) == hash(y)
+
+    check()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -8,6 +9,7 @@ from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
 from hopfsl2.extfield import ExtScalar
 from hopfsl2.fusion import (
+    CanonLabel,
     FusionVector,
     NoIntegerSolution,
     RankDeficient,
@@ -308,3 +310,30 @@ def test_candidate_simples_die_with_their_params():
     del p
     gc.collect()
     assert ref() is None
+
+
+def test_canon_label_hash_is_computed_once_from_the_data(pb3):
+    (label, _), (other, _) = candidate_simples(pb3, pb3.one, pb3.one, pb3.one)[:2]
+    assert hash(label) == hash((label.kind, label.dim, label.fingerprint))
+    bare = CanonLabel(label.kind, label.dim, label.fingerprint)
+    assert str(bare) != str(label)
+    assert bare == label and hash(bare) == hash(label)
+    moved = dataclasses.replace(label, kind=other.kind, dim=other.dim, fingerprint=other.fingerprint)
+    assert moved != label and moved == other
+    assert hash(moved) == hash((other.kind, other.dim, other.fingerprint))
+
+
+def test_candidate_simples_label_order_is_pinned():
+    # candidates sort on (kind, dim, fingerprint) and fingerprints compare
+    # key() tuples of Fractions; these orders were recorded when scalars
+    # still stored Fraction coefficients and set the CLI's fusion output order
+    p = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(9,))
+    assert [lab.display.i for lab, _ in candidate_simples(p, p.one, p.one, p.one)] == [1, 2, 0]
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9,))
+    cands = candidate_simples(p, root_of_unity(9, 1), p.one, p.one)
+    z, one, zeta, minus_one = (f"cyc(18; {c}, 0, 0, 0, 0)" for c in ("0, 0", "1, 0", "0, 1", "-1, 0"))
+    assert [repr(lab.display.kseed) for lab, _ in cands] == [
+        f"ext[ext[{z}, {z}, {z}], ext[{one}, {z}, {z}]]",
+        f"ext[ext[{z}, {one}, {z}], ext[{z}, {z}, {z}]]",
+        f"ext[ext[cyc(18; 1, -1, 0, 0, 0, 0), {minus_one}, {z}], ext[{minus_one}, {z}, {z}]]",
+    ]
