@@ -1,9 +1,13 @@
 """Command-line front end: axiom suites, module construction, fusion and
 relation verification, with machine-readable JSON reports.
 
-Exit codes: 0 all requested checks pass, 1 a check failed (an ArithmeticError
-of the library included: its report carries "error": {class, message}),
-2 usage error.
+Exit codes: 0 all requested checks pass; 1 a check failed, including a typed
+error of the library (every ArithmeticError, and WrongType,
+SeedConstraintViolated, FieldTooSmall, ParameterConstraint,
+IncompatibleModulus, UnboundGenerator, PreconditionViolated), whose report
+carries "error": {class, message}; 2 usage error: a malformed argument or
+file (ParseError), an argparse error, a plain ValueError of parameter
+validation, or a --left/--right label of `fuse` that names no simple module.
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -22,20 +26,43 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import AlgebraParams, PreconditionViolated, QuotientParams
-from .cyclo import CycScalar, ParseError, parse_scalar, rational, root_of_unity
+from .algebra import AlgebraParams, IntegralCheckFailed, PreconditionViolated, QuotientParams
+from .cyclo import CycScalar, IncompatibleModulus, ParseError, parse_scalar, rational, root_of_unity
 from .fusion import fuse, fusion_table
 from .grothendieck import (
     SUITES,
     GelakiContext,
+    UnboundGenerator,
     compare_fusion_rings,
     default_suite_instances,
     radford_context,
     verify_relation,
 )
-from .modules import SimpleLabel, build_simple, verify_module
+from .modules import (
+    FieldTooSmall,
+    ParameterConstraint,
+    SeedConstraintViolated,
+    SimpleLabel,
+    WrongType,
+    build_simple,
+    verify_module,
+)
 
 SCHEMA = "hopfsl2/report-v1"
+
+# Typed errors of the library: the computation failed for inputs that parsed,
+# so the command exits 1 with an "error" block in its report.  The typed
+# ValueErrors are listed by name; a plain ValueError stays a usage error.
+LIBRARY_ERRORS = (
+    ArithmeticError,
+    WrongType,
+    SeedConstraintViolated,
+    FieldTooSmall,
+    ParameterConstraint,
+    IncompatibleModulus,
+    UnboundGenerator,
+    PreconditionViolated,
+)
 
 
 def parse_scalar_expr(text: str, p: AlgebraParams | None = None) -> CycScalar:
@@ -198,10 +225,21 @@ def cmd_build_module(args) -> int:
     return 0 if not bad else 1
 
 
+def _simple_label_arg(text: str, p: AlgebraParams, flag: str) -> SimpleLabel:
+    """A label flag that must name a simple module: one that names none is a
+    usage error (exit 2), like a label that does not parse."""
+    label = parse_label(text, p)
+    try:
+        build_simple(p, label)
+    except (WrongType, SeedConstraintViolated) as exc:
+        raise ValueError(f"{flag} {text} names no simple module: {exc}") from None
+    return label
+
+
 def cmd_fuse(args) -> int:
     p = make_params(args)
-    l1 = parse_label(args.left, p)
-    l2 = parse_label(args.right, p)
+    l1 = _simple_label_arg(args.left, p, "--left")
+    l2 = _simple_label_arg(args.right, p, "--right")
     fv = fuse(p, l1, l2)
     report = {
         "schema": SCHEMA,
@@ -292,7 +330,7 @@ def cmd_integral_check(args) -> int:
         lam = qp.check_integral()
         ok = True
         results = {"integral": lam.serialize(), "checked_monomials": len(qp.basis())}
-    except Exception as exc:
+    except IntegralCheckFailed as exc:
         ok = False
         results = {"error": str(exc)}
     emit(args, {"schema": SCHEMA, "command": "integral-check", "config": config_dict(args), "pass": ok, "results": results})
@@ -448,15 +486,18 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        # a math failure of the library: a failed check, reported as such
+    except LIBRARY_ERRORS as exc:
+        # a failure of the library: a failed check, reported as such
         error = {"class": type(exc).__name__, "message": str(exc)}
         print(f"error: {error['class']}: {error['message']}", file=sys.stderr)
         emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": False, "error": error})
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -309,7 +309,7 @@ class CharacterBasis:
     `cands` is the list of (CanonLabel, ModuleRep) that candidate_simples
     returns; `rows` maps each label to the trace_vector of its module at
     jmax = 2n, whose keys are the label's fingerprint.  One basis per
-    character is kept in its AlgebraParams, so it lives as long as they do.
+    character is kept in `p.caches.character_bases`, so it lives as long as p.
     """
 
     cands: list
@@ -321,7 +321,7 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: bool
     gamma2 = _norm_scalar(p, gamma2)
     gamma3 = _norm_scalar(p, gamma3)
     key = (g1.key(), gamma2.key(), gamma3.key(), allow_extension)
-    basis = p._character_bases.get(key)
+    basis = p.caches.character_bases.get(key)
     if basis is not None:
         return basis
     b1pp, b2pp, _b3pp, _mu = kind_conditions(p, g1, gamma2, gamma3, 0)
@@ -352,7 +352,7 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: bool
             cands.append((label, m))
     cands.sort(key=lambda cm: (cm[0].kind, cm[0].dim, cm[0].fingerprint))
     basis = CharacterBasis(cands, rows)
-    p._character_bases[key] = basis
+    p.caches.character_bases[key] = basis
     return basis
 
 

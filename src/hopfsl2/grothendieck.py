@@ -70,7 +70,7 @@ def cls(p: AlgebraParams, label: SimpleLabel) -> FusionVector:
 
 
 def _fuse_cached(p: AlgebraParams, l1: CanonLabel, l2: CanonLabel) -> FusionVector:
-    cache = p._fuse_cache
+    cache = p.caches.fuse
     key = (l1, l2)
     if key not in cache:
         cache[key] = fuse(p, l1.display, l2.display)

@@ -7,6 +7,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hopfsl2.algebra import AlgebraParams
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # property tests built on this profile draw the same examples on every
+    # run, and exact arithmetic gets no per-example deadline; it is not
+    # loaded globally, so older property tests keep their own settings
+    settings.register_profile("hopfsl2", derandomize=True, deadline=None)
+
 
 @pytest.fixture(scope="session")
 def p311():

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -208,3 +211,84 @@ def test_axiom_checker_flags_bad_parity_and_gcd():
     # n even, n1 odd is fine
     rep2 = AlgebraParams(4, 3, beta=(1, 1, 1)).check_hopf_axioms(n_random=3, seed=1)
     assert rep2.ok
+
+
+def test_axiom_checker_failure_witnesses_pinned():
+    """The whole failures() dict of a parity-violating algebra, witness text
+    included: each failing axiom keeps its first failing pair."""
+    rep = AlgebraParams(4, 2, beta=(1, 1, 1)).check_hopf_axioms(n_random=3, seed=1)
+    u = "(cyc(8; -1, 0, 0, 0)) a*b^-1*y^2 + (cyc(8; 0, 0, -1, 0)) a*b^-1*c*y"
+    v = "(cyc(8; 1, 0, 0, 0)) c^-1*x*y^2 + (cyc(8; 0, 0, 1, 0)) a*c*x^2"
+    assert rep.failures() == {"delta_algebra_map": (u, v), "antipode_antihom": (u, v)}
+
+
+def test_power_by_squaring_matches_repeated_product(p311):
+    e = p311.random_element(random.Random(5))
+    for k in range(8):
+        assert p311.power(e, k) == p311.mul_many(*[e] * k)
+
+
+def test_every_table_lives_in_caches():
+    p = AlgebraParams(3, 1, beta=(1, 1, 1))
+    p.check_hopf_axioms(n_random=2, seed=0)
+    assert not [name for name, value in vars(p).items() if isinstance(value, dict)]
+    assert p.caches.product and p.caches.delta and p.caches.antipode
+    # at most n^5 product entries, each keyed (u1, v1, a-exponent mod n, u2, v2)
+    assert all(0 <= r < p.n for (_u1, _v1, r, _u2, _v2) in p.caches.product)
+
+
+# -- properties of the table-driven engine (needs hypothesis) ------------------
+
+AXIOM_GRID = [(2, 1), (3, 1), (3, 2), (4, 3)]  # the criterion-01 grid
+BETAS = list(itertools.product((0, 1), repeat=3))
+
+
+@functools.lru_cache(maxsize=None)
+def _params(n, n1, beta):
+    return AlgebraParams(n, n1, beta=beta)
+
+
+def _element_pairs():
+    """(hypothesis, strategy of (p, e1, e2)) over the criterion-01 grid and
+    every beta in {0,1}^3; skips the calling test without hypothesis.  The
+    a, b, c exponents range over [-3, 3], so the a-exponent of the right
+    factor is often negative or at least n."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exps = st.integers(-3, 3)
+
+    def elements(p):
+        mono = st.tuples(exps, exps, exps, st.integers(0, p.n - 1), st.integers(0, p.n - 1))
+        coeff = st.sampled_from([1, -1, p.q, -p.qpow(2), Fraction(1, 2), p.one + p.q])
+        return st.lists(st.tuples(coeff, mono), min_size=1, max_size=3).map(lambda ts: p.element(*ts))
+
+    params = st.tuples(st.sampled_from(AXIOM_GRID), st.sampled_from(BETAS)).map(
+        lambda g: _params(*g[0], g[1])
+    )
+    return hypothesis, params.flatmap(lambda p: st.tuples(st.just(p), elements(p), elements(p)))
+
+
+def test_mul_matches_word_rewriter_property():
+    hypothesis, pairs = _element_pairs()
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=120)
+    @hypothesis.given(pairs)
+    def check(data):
+        p, e1, e2 = data
+        assert p.mul(e1, e2) == slow_multiply(p, e1, e2)
+
+    check()
+
+
+def test_coproduct_and_antipode_on_generated_pairs():
+    hypothesis, pairs = _element_pairs()
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=80)
+    @hypothesis.given(pairs)
+    def check(data):
+        p, u, v = data
+        uv = p.mul(u, v)
+        assert p.coproduct(uv) == p.tensor_mul(p.coproduct(u), p.coproduct(v))
+        assert p.antipode(uv) == p.mul(p.antipode(v), p.antipode(u))
+
+    check()

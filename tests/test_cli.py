@@ -171,3 +171,19 @@ def test_cli_library_arithmetic_error_is_a_failed_check(monkeypatch, capsys):
         "message": "trace system is inconsistent (missing candidate?)",
     }
     assert "error: NoIntegerSolution: trace system is inconsistent" in captured.err
+
+
+def test_cli_typed_library_error_exits_1_with_report(tmp_path, capsys):
+    """A typed ValueError of the library (here WrongType: the label names no
+    module) is a failed check with a report, not a usage error."""
+    labels = tmp_path / "labels.txt"
+    labels.write_text("Vr(sq,1,1;1)\n")
+    code = main(["fusion-table", "--n", "3", "--n1", "1", "--beta", "0,0,1",
+                 "--labels-file", str(labels)])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1
+    assert rep["schema"] == "hopfsl2/report-v1" and rep["command"] == "fusion-table"
+    assert rep["pass"] is False
+    assert rep["error"] == {"class": "WrongType", "message": "Vr requires beta3''(i) != 0"}
+    assert "error: WrongType: Vr requires beta3''(i) != 0" in captured.err
