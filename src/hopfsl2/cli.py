@@ -216,7 +216,7 @@ def cmd_build_module(args) -> int:
             "label": str(m.label),
             "failed_relations": bad,
             "matrices": {
-                g: [[x.serialize() if isinstance(x, CycScalar) else repr(x) for x in row] for row in m.mat(g)]
+                g: [[repr(x) for x in row] for row in m.mat(g)]
                 for g in "abcxy"
             },
         },

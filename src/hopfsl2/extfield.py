@@ -8,6 +8,11 @@ trace decomposition stay exact.
 
 Scalars follow the same small protocol as CycScalar: +, -, *, neg, inv,
 is_zero, zero, one, key.
+
+The field rule.  Character data (g1, gamma2, gamma3, mu, q, beta) lies in
+Q(zeta_M) and enters through AlgebraParams.scalar; a tower comes in only
+through a k-seed and the module matrices built from it.  Scalars move
+between fields only through lift, field_zero and base_constant below.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .cyclo import (
     root_of_unity,
 )
 
-__all__ = ["Tower", "ExtScalar", "poly_eval", "find_field_roots", "split_roots"]
+__all__ = [
+    "Tower", "ExtScalar", "lift", "field_zero", "base_constant", "poly_eval", "find_field_roots", "split_roots",
+]
 
 
 _TOWER_CACHE: dict = {}
@@ -64,24 +71,12 @@ class Tower:
     def base_zero(self):
         return self._base_sample
 
-    def coerce_base(self, x):
-        """Coerce x into the base field of this tower."""
-        b = self._base_sample
-        if isinstance(b, ExtScalar):
-            return b.tower.lift(x)
-        if isinstance(x, CycScalar):
-            return x.embed(b.m) if b.m % x.m == 0 else (x + b)
-        if isinstance(x, (int, Fraction)):
-            return CycScalar.from_rational(x, b.m)
-        raise TypeError(f"cannot coerce {type(x).__name__} into tower base")
-
     def lift(self, x) -> "ExtScalar":
         """Embed a scalar of the base (or a lower level) as a constant."""
         if isinstance(x, ExtScalar) and x.tower is self:
             return x
         z = self._base_sample
-        xb = self.coerce_base(x)
-        return ExtScalar(self, (xb,) + (z,) * (self.degree - 1))
+        return ExtScalar(self, (lift(x, z),) + (z,) * (self.degree - 1))
 
     def gen(self) -> "ExtScalar":
         z = self._base_sample
@@ -243,6 +238,45 @@ class ExtScalar:
         return "ext[" + ", ".join(repr(x) for x in self.c) + "]"
 
 
+# -- moving scalars between fields ----------------------------------------
+
+
+def lift(x, zero):
+    """The image of x in the field of `zero`.
+
+    Raises IncompatibleModulus for a cyclotomic x whose modulus does not
+    divide that field's, and TypeError for an x in a tower it lacks.
+    """
+    if isinstance(zero, ExtScalar):
+        return zero.tower.lift(x)
+    if isinstance(x, CycScalar):
+        return x.embed(zero.m)
+    if isinstance(x, ExtScalar):
+        raise TypeError("cannot lower an extension scalar into a cyclotomic field")
+    return CycScalar.from_rational(Fraction(x), zero.m)
+
+
+def field_zero(zero, *scalars):
+    """Zero of the one tower among `zero` and `scalars`, else `zero` itself.
+
+    Raises TypeError when two distinct towers mix.
+    """
+    tower = zero.tower if isinstance(zero, ExtScalar) else None
+    for s in scalars:
+        if isinstance(s, ExtScalar) and s.tower is not tower:
+            if tower is not None:
+                raise TypeError("mixing distinct extension towers")
+            tower = s.tower
+    return zero if tower is None else tower.lift(0)
+
+
+def base_constant(x) -> CycScalar:
+    """The Q(zeta_M) value of a tower constant (ValueError for a non-constant)."""
+    while isinstance(x, ExtScalar):
+        x = x.constant_part()
+    return x
+
+
 # -- polynomial root machinery over a scalar field -----------------------
 
 
@@ -332,9 +366,7 @@ def _ext_candidates(coeffs):
         )
         cands.extend(tower.lift(c) for c in base_cands)
     # unit multiples of the adjoined generator (covers binomial towers)
-    base = tower.base_zero()
-    while isinstance(base, ExtScalar):
-        base = base.tower.base_zero()
+    base = base_constant(tower.base_zero())
     L = base.m if base.m % 2 == 0 else 2 * base.m
     s = tower.gen()
     for k in range(L):

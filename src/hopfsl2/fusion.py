@@ -21,13 +21,11 @@ principle: trace functions determine composition factors).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraParams
-from .cyclo import CycScalar
-from .extfield import ExtScalar
+from .extfield import ExtScalar, base_constant, field_zero, lift
 # rank is not used here: perfbench/test_bench.py checks that its tracer wraps
 # this from-import binding, so it stays until that check names another one
 from .linalg import identity, kron, mat_add, mat_mul, mat_pow, rank, rref, trace  # noqa: F401
@@ -36,15 +34,12 @@ from .modules import (
     ModuleRep,
     SimpleLabel,
     WrongType,
-    _lift_into,
-    _norm_scalar,
     build_simple,
     build_V0,
     build_VI,
     build_VII,
     build_Vr,
     kind_conditions,
-    normalize_label,
     solve_k_seed,
     verify_module,
 )
@@ -163,39 +158,11 @@ class FusionVector:
 # -- tensor product ----------------------------------------------------------
 
 
-def _maybe_lift(x, zero):
-    if isinstance(zero, ExtScalar):
-        if isinstance(x, ExtScalar) and x.tower is zero.tower:
-            return x
-        return zero.tower.lift(x)
-    if isinstance(x, CycScalar) and x.m != zero.m:
-        return x.embed(zero.m)
-    return x
-
-
-def _lift_mat(mat, zero):
-    return [[_maybe_lift(x, zero) for x in row] for row in mat]
-
-
-def _common_zero_of(m1: ModuleRep, m2: ModuleRep):
-    z1, z2 = m1.zero_scalar(), m2.zero_scalar()
-    t1 = z1.tower if isinstance(z1, ExtScalar) else None
-    t2 = z2.tower if isinstance(z2, ExtScalar) else None
-    if t1 is not None and t2 is not None and t1 is not t2:
-        raise TypeError("tensor factors live over distinct extension towers")
-    if t1 is not None:
-        return z1
-    if t2 is not None:
-        return z2
-    m = z1.m * z2.m // math.gcd(z1.m, z2.m)
-    return CycScalar.from_rational(0, m)
-
-
 def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -> ModuleRep:
     """Module structure on m1 (x) m2 through the coproduct."""
-    zero = _common_zero_of(m1, m2)
-    mats1 = {g: _lift_mat(m1.mat(g), zero) for g in "abcxy"}
-    mats2 = {g: _lift_mat(m2.mat(g), zero) for g in "abcxy"}
+    zero = field_zero(p.zero, m1.zero_scalar(), m2.zero_scalar())
+    mats1 = {g: [[lift(x, zero) for x in row] for row in m1.mat(g)] for g in "abcxy"}
+    mats2 = {g: [[lift(x, zero) for x in row] for row in m2.mat(g)] for g in "abcxy"}
     a2n1 = mat_pow(mats2["a"], p.n1)
     mats = {
         "a": kron(mats1["a"], mats2["a"]),
@@ -213,10 +180,6 @@ def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -
 
 
 # -- candidates and traces ---------------------------------------------------
-
-
-def _scalar_key(x):
-    return x.key()
 
 
 def trace_vector(p: AlgebraParams, m: ModuleRep, jmax: int):
@@ -299,7 +262,7 @@ def _dense_traces(p: AlgebraParams, m: ModuleRep, jmax: int):
 
 
 def trace_fingerprint(p: AlgebraParams, m: ModuleRep):
-    return tuple(_scalar_key(t) for t in trace_vector(p, m, 2 * p.n))
+    return tuple(t.key() for t in trace_vector(p, m, 2 * p.n))
 
 
 @dataclass
@@ -317,9 +280,7 @@ class CharacterBasis:
 
 
 def _character_basis(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: bool = True) -> CharacterBasis:
-    g1 = _norm_scalar(p, g1)
-    gamma2 = _norm_scalar(p, gamma2)
-    gamma3 = _norm_scalar(p, gamma3)
+    g1, gamma2, gamma3 = p.scalar(g1), p.scalar(gamma2), p.scalar(gamma3)
     key = (g1.key(), gamma2.key(), gamma3.key(), allow_extension)
     basis = p.caches.character_bases.get(key)
     if basis is not None:
@@ -346,7 +307,7 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: bool
     rows = {}
     for m in mods:
         row = trace_vector(p, m, 2 * n)
-        label = CanonLabel(m.label.kind, m.dim, tuple(_scalar_key(t) for t in row), m.label)
+        label = CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in row), m.label)
         if label not in rows:
             rows[label] = row
             cands.append((label, m))
@@ -369,13 +330,10 @@ def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3, allow_extension: boo
 
 def _sorted_seeds(seeds):
     """Deterministic seed order: lexicographically smallest coefficient vector
-    first (so the canonical label of each iso-class uses that root)."""
-    def key(s):
-        if isinstance(s, ExtScalar):
-            return (1, s.key())
-        return (0, s.key())
-
-    return sorted(seeds, key=key)
+    first (so the canonical label of each iso-class uses that root).  The
+    seeds of one solve share one field: split_roots lifts every root into
+    its last tower."""
+    return sorted(seeds, key=lambda s: s.key())
 
 
 def _as_nonneg_int(x):
@@ -416,22 +374,19 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
             target = gamma1 if i == j else zero
             if not (An[i][j] - target).is_zero():
                 raise WrongType("a^n does not act as a scalar")
-    g1n = _norm_scalar(p, g1)
-    # gamma2, gamma3 must be base-field data for candidate enumeration
-    g2c = _to_cyc(gamma2)
-    g3c = _to_cyc(gamma3)
-    if not (_lift_into(g1n, zero) ** p.n - gamma1).is_zero():
+    g1n = p.scalar(g1)
+    # over a tower, b and c act by tower constants of Q(zeta_M) character data
+    g2c = base_constant(gamma2)
+    g3c = base_constant(gamma3)
+    if not (lift(g1n, zero) ** p.n - gamma1).is_zero():
         raise WrongType("g1^n does not match the a^n scalar")
     cands = candidate_simples(p, g1n, g2c, g3c)
     basis = _character_basis(p, g1n, g2c, g3c)
-    # ambient field: the deepest tower among m and the candidates
-    ambient = zero
-    for _, cm in cands:
-        cz = cm.zero_scalar()
-        if isinstance(cz, ExtScalar) and not isinstance(ambient, ExtScalar):
-            ambient = cz
-        elif isinstance(cz, ExtScalar) and isinstance(ambient, ExtScalar) and cz.tower is not ambient.tower:
-            raise RankDeficient("candidates live over incompatible towers")
+    # ambient field: the one tower among m and the candidates
+    try:
+        ambient = field_zero(zero, *(cm.zero_scalar() for _, cm in cands))
+    except TypeError:
+        raise RankDeficient("candidates live over incompatible towers") from None
     ncand = len(cands)
     jmax = 2 * p.n
     while True:
@@ -440,8 +395,8 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
             row = basis.rows.get(lab) if jmax == 2 * p.n else None
             if row is None:
                 row = trace_vector(p, cm, jmax)
-            cols.append([_maybe_lift(t, ambient) for t in row])
-        v = [_maybe_lift(t, ambient) for t in trace_vector(p, m, jmax)]
+            cols.append([lift(t, ambient) for t in row])
+        v = [lift(t, ambient) for t in trace_vector(p, m, jmax)]
         # one elimination of [candidate traces | traces of m], one equation per
         # trace: the candidates are independent iff each of the first ncand
         # columns holds a pivot, and the system is inconsistent iff column
@@ -468,12 +423,6 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     return FusionVector({lab: mult for mult, (lab, _) in zip(mults, cands) if mult})
 
 
-def _to_cyc(x):
-    while isinstance(x, ExtScalar):
-        x = x.constant_part()
-    return x
-
-
 def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
     """CanonLabel of a (simple) module."""
     return CanonLabel(
@@ -486,13 +435,10 @@ def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
 
 def fuse(p: AlgebraParams, l1: SimpleLabel, l2: SimpleLabel, check: bool = False) -> FusionVector:
     """decompose(build(l1) (x) build(l2)) with the product g1 convention."""
-    l1 = normalize_label(p, l1)
-    l2 = normalize_label(p, l2)
     m1 = build_simple(p, l1)
     m2 = build_simple(p, l2)
     mt = tensor(p, m1, m2, check=check)
-    g1 = l1.g1 * l2.g1
-    return decompose(p, mt, g1)
+    return decompose(p, mt, m1.label.g1 * m2.label.g1)
 
 
 def fusion_table(p: AlgebraParams, labels, check_commutative: bool = True):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraParams
-from .cyclo import CycScalar, root_of_unity
+from .cyclo import root_of_unity
 from .fusion import (
     CanonLabel,
     FusionVector,
@@ -382,7 +382,7 @@ def rel_thm55_chebyshev(p: AlgebraParams, r: int) -> list:
 
 
 def rel_thm55_z2_zprime(p: AlgebraParams, g1xi) -> list:
-    g1xi = _scal(p, g1xi)
+    g1xi = p.scalar(g1xi)
     zp = lambda i: cls(p, SimpleLabel("Vr", g1xi * p.sqrt_q, p.one, p.one, i, r=p.t))
     lhs = lambda: gr_mul(
         p, z_class(p, 2), cls(p, SimpleLabel("Vr", g1xi, p.one, p.one, 0, r=p.t))
@@ -402,7 +402,7 @@ def _vt_square_readings(p: AlgebraParams, slot: int, xa, xb, printed: str, thm51
     """[V_t(a)] [V_t(b)] for V_t classes whose character differs from (1, 1, 1)
     only in `slot` (0: g1, 1: gamma2, 2: gamma3): the chain split per slot of
     the product character, and the printed s'' reading off <q^n1>."""
-    xa, xb = _scal(p, xa), _scal(p, xb)
+    xa, xb = p.scalar(xa), p.scalar(xb)
     t = p.t
 
     def char(x):
@@ -444,7 +444,7 @@ def rel_thm55_zprime_zprime(p: AlgebraParams, g1a, g1b) -> list:
 def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI", kseed=None):
     """[(tag, class)] for the VI/VII generator: explicit seed, or all classes."""
     if kseed is not None:
-        lbl = SimpleLabel(kind, g1, gamma2, gamma3, 0, kseed=_scal(p, kseed))
+        lbl = SimpleLabel(kind, g1, gamma2, gamma3, 0, kseed=kseed)
         return [("seed=given", cls(p, lbl))]
     fam = vi_family(p, g1, gamma2, gamma3, kind)
     if not fam:
@@ -455,7 +455,7 @@ def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI", kseed=None):
 
 
 def rel_thm58_z2_x(p: AlgebraParams, g1z, zeta2, kseed=None) -> list:
-    g1z, zeta2 = _scal(p, g1z), _scal(p, zeta2)
+    g1z, zeta2 = p.scalar(g1z), p.scalar(zeta2)
     newg1 = g1z * p.sqrt_q
     readings = []
     for tag, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed):
@@ -468,33 +468,42 @@ def rel_thm58_z2_x(p: AlgebraParams, g1z, zeta2, kseed=None) -> list:
     return readings
 
 
-def rel_thm58_z2_zdprime(p: AlgebraParams, xi) -> list:
-    xi = _scal(p, xi)
-    eta = cls(p, SimpleLabel("V0", p.sqrt_q, p.one, p.qpow(p.n1), 0))
-    zd = lambda x, i: cls(p, SimpleLabel("Vr", p.one, p.one, x, i, r=p.t))
-    lhs = lambda: gr_mul(p, z_class(p, 2), zd(xi, 0))
+def _gammas(p: AlgebraParams, kind: str, c) -> tuple:
+    """(gamma2, gamma3) = (1, c) on the V_I side (x, z''), (c, 1) on the V_II side (y, z~)."""
+    return (p.one, c) if kind == "VI" else (c, p.one)
+
+
+def _z2_times_vt(p: AlgebraParams, kind: str, xi, printed: str) -> list:
+    """z_2 [V_t(1, gammas(xi))] = eta (V_t(xi q^-n1) + its (n-1)-shift), with
+    eta = [V0(q^(1/2), gammas(q^n1))]: z'' in Thm 5.8, z~ in Thm 5.17."""
+    xi = p.scalar(xi)
+    eta = cls(p, SimpleLabel("V0", p.sqrt_q, *_gammas(p, kind, p.qpow(p.n1)), 0))
+    vt = lambda x, i: cls(p, SimpleLabel("Vr", p.one, *_gammas(p, kind, x), i, r=p.t))
+    lhs = lambda: gr_mul(p, z_class(p, 2), vt(xi, 0))
     xiq = xi * p.qpow(-p.n1)
-    return [
-        _try_reading(
-            "printed(eta (z''_(xi q^-n1) + g^(n-1) z''))",
-            lhs,
-            lambda: gr_mul(p, eta, zd(xiq, 0) + zd(xiq, p.n - 1)),
+    return [_try_reading(printed, lhs, lambda: gr_mul(p, eta, vt(xiq, 0) + vt(xiq, p.n - 1)))]
+
+
+def _seed_class_times_vt(p: AlgebraParams, kind: str, g1, c2, xi, kseed, printed: str) -> list:
+    """[V_I(g1, 1, c2)] z''_xi or [V_II(g1, c2, 1)] z~_xi: t classes of the
+    same kind at the character with c2 xi in place of c2."""
+    g1, c2, xi = p.scalar(g1), p.scalar(c2), p.scalar(xi)
+    vt = cls(p, SimpleLabel("Vr", p.one, *_gammas(p, kind, xi), 0, r=p.t))
+    readings = []
+    for tag, c in _vi_choices(p, g1, *_gammas(p, kind, c2), kind=kind, kseed=kseed):
+        lhs = gr_mul(p, c, vt)
+        readings.append(
+            _structural_vi_reading(p, f"{printed} [{tag}]", lhs, g1, *_gammas(p, kind, c2 * xi), p.t, kind=kind)
         )
-    ]
+    return readings
+
+
+def rel_thm58_z2_zdprime(p: AlgebraParams, xi) -> list:
+    return _z2_times_vt(p, "VI", xi, "printed(eta (z''_(xi q^-n1) + g^(n-1) z''))")
 
 
 def rel_thm58_x_zdprime(p: AlgebraParams, g1z, zeta2, xi, kseed=None) -> list:
-    g1z, zeta2, xi = _scal(p, g1z), _scal(p, zeta2), _scal(p, xi)
-    zd = cls(p, SimpleLabel("Vr", p.one, p.one, xi, 0, r=p.t))
-    readings = []
-    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed):
-        lhs = gr_mul(p, xcls, zd)
-        readings.append(
-            _structural_vi_reading(
-                p, f"printed(s'' x_(zeta1, zeta2 xi)) [{tag}]", lhs, g1z, p.one, zeta2 * xi, p.t
-            )
-        )
-    return readings
+    return _seed_class_times_vt(p, "VI", g1z, zeta2, xi, kseed, "printed(s'' x_(zeta1, zeta2 xi))")
 
 
 def rel_thm58_zd_zd(p: AlgebraParams, xi, xip) -> list:
@@ -569,19 +578,15 @@ def _s_times_reading(p, lhs_elem, G, g2prod, g3prod, kind) -> Reading:
 
 def _same_kind_product(p: AlgebraParams, kind: str, g1a, c2a, g1b, c2b, kseed_a, kseed_b) -> list:
     """[V_I][V_I] over characters (g1, 1, c2), or [V_II][V_II] over (g1, c2, 1)."""
-    g1a, c2a = _scal(p, g1a), _scal(p, c2a)
-    g1b, c2b = _scal(p, g1b), _scal(p, c2b)
-
-    def gammas(c2):
-        return (p.one, c2) if kind == "VI" else (c2, p.one)
-
+    g1a, c2a = p.scalar(g1a), p.scalar(c2a)
+    g1b, c2b = p.scalar(g1b), p.scalar(c2b)
     G = g1a * g1b
     readings = []
-    for tag_a, ca in _vi_choices(p, g1a, *gammas(c2a), kind=kind, kseed=kseed_a):
-        for tag_b, cb in _vi_choices(p, g1b, *gammas(c2b), kind=kind, kseed=kseed_b):
+    for tag_a, ca in _vi_choices(p, g1a, *_gammas(p, kind, c2a), kind=kind, kseed=kseed_a):
+        for tag_b, cb in _vi_choices(p, g1b, *_gammas(p, kind, c2b), kind=kind, kseed=kseed_b):
             lhs_elem = gr_mul(p, ca, cb)
             case = f"[{tag_a} x {tag_b}]"
-            readings.extend(_product_case_readings(p, lhs_elem, G, *gammas(c2a * c2b), case))
+            readings.extend(_product_case_readings(p, lhs_elem, G, *_gammas(p, kind, c2a * c2b), case))
     return readings
 
 
@@ -592,8 +597,8 @@ def rel_x_times_x(p: AlgebraParams, g1a, zeta2a, g1b, zeta2b, kseed_a=None, ksee
 
 def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2, kseed_x=None, kseed_y=None) -> list:
     """x_(zeta1,zeta2) y_(eps1,eps2) = s g_(eps1,eps2,eps2) x_(zeta1, zeta2 eps2^-1) = y x."""
-    g1z, zeta2 = _scal(p, g1z), _scal(p, zeta2)
-    g1e, eps2 = _scal(p, g1e), _scal(p, eps2)
+    g1z, zeta2 = p.scalar(g1z), p.scalar(zeta2)
+    g1e, eps2 = p.scalar(g1e), p.scalar(eps2)
     G = g1z * g1e
     readings = []
     for tag_x, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed_x):
@@ -624,32 +629,11 @@ def rel_y_times_y(p: AlgebraParams, g1a, eps2a, g1b, eps2b, kseed_a=None, kseed_
 
 
 def rel_thm517_z2_ztilde(p: AlgebraParams, xi) -> list:
-    xi = _scal(p, xi)
-    etap = cls(p, SimpleLabel("V0", p.sqrt_q, p.qpow(p.n1), p.one, 0))
-    zt = lambda x, i: cls(p, SimpleLabel("Vr", p.one, x, p.one, i, r=p.t))
-    lhs = lambda: gr_mul(p, z_class(p, 2), zt(xi, 0))
-    xiq = xi * p.qpow(-p.n1)
-    return [
-        _try_reading(
-            "printed(eta' (z~_(xi q^-n1) + g^(n-1) z~))",
-            lhs,
-            lambda: gr_mul(p, etap, zt(xiq, 0) + zt(xiq, p.n - 1)),
-        )
-    ]
+    return _z2_times_vt(p, "VII", xi, "printed(eta' (z~_(xi q^-n1) + g^(n-1) z~))")
 
 
 def rel_thm517_y_ztilde(p: AlgebraParams, g1e, eps2, xi, kseed=None) -> list:
-    g1e, eps2, xi = _scal(p, g1e), _scal(p, eps2), _scal(p, xi)
-    zt = cls(p, SimpleLabel("Vr", p.one, xi, p.one, 0, r=p.t))
-    readings = []
-    for tag, ycls in _vi_choices(p, g1e, eps2, p.one, kind="VII", kseed=kseed):
-        lhs = gr_mul(p, ycls, zt)
-        readings.append(
-            _structural_vi_reading(
-                p, f"printed(s'' y_(eps1, eps2 xi)) [{tag}]", lhs, g1e, eps2 * xi, p.one, p.t, kind="VII"
-            )
-        )
-    return readings
+    return _seed_class_times_vt(p, "VII", g1e, eps2, xi, kseed, "printed(s'' y_(eps1, eps2 xi))")
 
 
 def rel_thm517_zt_zt(p: AlgebraParams, xi, xip) -> list:
@@ -658,7 +642,7 @@ def rel_thm517_zt_zt(p: AlgebraParams, xi, xip) -> list:
 
 def rel_thm519_x_zprime(p: AlgebraParams, g1z, zeta2, g1xi, kseed=None) -> list:
     """x_(zeta1,zeta2) z'_xi = g^(n-t) s'' x_(zeta1 xi, zeta2)."""
-    g1z, zeta2, g1xi = _scal(p, g1z), _scal(p, zeta2), _scal(p, g1xi)
+    g1z, zeta2, g1xi = p.scalar(g1z), p.scalar(zeta2), p.scalar(g1xi)
     zp = cls(p, SimpleLabel("Vr", g1xi, p.one, p.one, 0, r=p.t))
     readings = []
     for tag, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed):
@@ -712,12 +696,6 @@ def verify_relation(p: AlgebraParams, relation_id: str, **bindings) -> RelationR
 
 def _fmt_bindings(bindings) -> str:
     return ", ".join(f"{k}={v!r}" for k, v in sorted(bindings.items()))
-
-
-def _scal(p: AlgebraParams, x):
-    if isinstance(x, CycScalar):
-        return x.embed(p.M)
-    return CycScalar.from_rational(Fraction(x), p.M)
 
 
 def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> FusionVector:
@@ -946,7 +924,8 @@ class GelakiContext:
         return "h3", n, N // n
 
     def h_candidates(self):
-        """[(convention, class, error)] for the h-generator.
+        """(name, order, candidates) for the h-generator, where candidates is a
+        list of (convention, class, error) triples (class None on an error).
 
         The displayed [V0(frak_q^E, 1, 1; 0)] fixes no n-th root of frak_q^E;
         every root inside the N-th roots of unity is offered (g1 = frak_q^k
@@ -967,16 +946,20 @@ class GelakiContext:
             out.append((conv, c, ""))
         return name, order, out
 
+    def _star(self, kind: str, kseed=None) -> FusionVector:
+        """[V(frak_q^n, 1, 1; 0)] of the kind (unique seed-class unless kseed given)."""
+        p = self.p
+        if kseed is not None:
+            return cls(p, SimpleLabel(kind, self.frak_q, p.one, p.one, 0, kseed=kseed))
+        return _resolve_vi(p, self.frak_q, p.one, p.one, kind)
+
     def xstar(self, kseed=None) -> FusionVector:
         """x* = [V_I(frak_q^n, 1, 1; 0)] (unique seed-class unless kseed given)."""
-        if kseed is not None:
-            return cls(self.p, SimpleLabel("VI", self.frak_q, self.p.one, self.p.one, 0, kseed=kseed))
-        return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, "VI")
+        return self._star("VI", kseed)
 
     def ystar(self, kseed=None) -> FusionVector:
-        if kseed is not None:
-            return cls(self.p, SimpleLabel("VII", self.frak_q, self.p.one, self.p.one, 0, kseed=kseed))
-        return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, "VII")
+        """y* = [V_II(frak_q^n, 1, 1; 0)] (unique seed-class unless kseed given)."""
+        return self._star("VII", kseed)
 
     def verify_orders(self) -> list[RelationReport]:
         """g^n = 1 and the printed h-order for this beta-case (all conventions)."""
@@ -1007,26 +990,22 @@ class GelakiContext:
                 return h
         raise UnboundGenerator(f"{name} names no module under either root convention")
 
-    def verify_xstar_power(self) -> RelationReport:
-        """Cor 5.11 / 5.14 / 5.16: x*^(N/(N/n,n1)) = n^(...-1) s h (beta3 = 0)."""
+    def _star_power(self, kind: str, relation_id: str, name: str) -> RelationReport:
+        """Cor 5.11 / 5.14 / 5.16: star^(N/(N/n,n1)) = n^(...-1) s h (beta3 = 0)."""
         p, N = self.p, self.N
         D = N // math.gcd(N // p.n, p.n1)
         reading = _try_reading(
-            f"x*^{D} = n^{D-1} s h",
-            lambda: gr_pow(p, self.xstar(), D),
+            f"{name}^{D} = n^{D-1} s h",
+            lambda: gr_pow(p, self._star(kind), D),
             lambda: gr_mul(p, s_full(p), self._h_for_power_relation()).scale(p.n ** (D - 1)),
         )
-        return RelationReport("cor5.11.xstar_power", f"N={N}", [reading])
+        return RelationReport(relation_id, f"N={N}", [reading])
+
+    def verify_xstar_power(self) -> RelationReport:
+        return self._star_power("VI", "cor5.11.xstar_power", "x*")
 
     def verify_ystar_power(self) -> RelationReport:
-        p, N = self.p, self.N
-        D = N // math.gcd(N // p.n, p.n1)
-        reading = _try_reading(
-            f"y*^{D} = n^{D-1} s h",
-            lambda: gr_pow(p, self.ystar(), D),
-            lambda: gr_mul(p, s_full(p), self._h_for_power_relation()).scale(p.n ** (D - 1)),
-        )
-        return RelationReport("cor5.14.ystar_power", f"N={N}", [reading])
+        return self._star_power("VII", "cor5.14.ystar_power", "y*")
 
     def fusion_table(self):
         labels = self.labels()

@@ -7,17 +7,20 @@ defining relations: the y-coefficients of the n-dimensional simples are
 solved from the yx-straightening recurrence seeded by k1 (resp. k_n) and the
 degree-n product constraint is checked exactly; displayed closed forms are
 cross-checks, not inputs.
+
+The field rule: character data (g1, gamma2, gamma3, hence mu) lies in
+Q(zeta_M), is read through p.scalar (TypeError for tower values) and meets
+only p.q, p.qpow and p.beta.  Only a V_I/V_II k-seed can lie outside every
+cyclotomic field; such a module's matrices are lifted once into its tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraParams
-from .cyclo import CycScalar
-from .extfield import ExtScalar, find_field_roots, split_roots
+from .extfield import field_zero, find_field_roots, lift, split_roots
 from .linalg import (
     identity,
     mat_add,
@@ -139,69 +142,23 @@ class Extension:
     proj: list  # dim_quot x dim_total
 
 
-# -- field plumbing --------------------------------------------------------
+# -- labels ------------------------------------------------------------------
 
 
-def _lift_into(x, sample):
-    """Coerce x into the field of `sample` (CycScalar at its modulus, or tower)."""
-    if isinstance(sample, ExtScalar):
-        return sample.tower.lift(x)
-    if isinstance(x, ExtScalar):
-        raise TypeError("cannot lower an extension scalar into a cyclotomic field")
-    if isinstance(x, CycScalar):
-        return x.embed(sample.m)
-    return CycScalar.from_rational(Fraction(x), sample.m)
-
-
-def common_field_zero(p: AlgebraParams, *scalars):
-    """Zero of the smallest supported field containing p's scalars and the inputs."""
-    tower = None
-    for s in scalars:
-        if isinstance(s, ExtScalar):
-            if tower is not None and tower is not s.tower:
-                raise TypeError("mixing distinct extension towers")
-            tower = s.tower
-    if tower is not None:
-        return tower.lift(0)
-    return p.zero
-
-
-def _norm_scalar(p: AlgebraParams, x):
-    if isinstance(x, ExtScalar):
-        return x
-    if isinstance(x, CycScalar):
-        return x.embed(p.M)
-    return CycScalar.from_rational(Fraction(x), p.M)
-
-
-def normalize_label(p: AlgebraParams, label: SimpleLabel) -> SimpleLabel:
-    """Embed the label's cyclotomic data into the working modulus."""
-    return SimpleLabel(
-        kind=label.kind,
-        g1=_norm_scalar(p, label.g1),
-        gamma2=_norm_scalar(p, label.gamma2),
-        gamma3=_norm_scalar(p, label.gamma3),
-        i=label.i % p.n,
-        r=label.r,
-        kseed=None if label.kseed is None else (
-            label.kseed if isinstance(label.kseed, ExtScalar) else _norm_scalar(p, label.kseed)
-        ),
-    )
+def _label(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, **extra) -> SimpleLabel:
+    """The label of a built module: character data in Q(zeta_M), i mod n."""
+    return SimpleLabel(kind, p.scalar(g1), p.scalar(gamma2), p.scalar(gamma3), i % p.n, **extra)
 
 
 # -- kind conditions -------------------------------------------------------
 
 
 def kind_conditions(p: AlgebraParams, g1, gamma2, gamma3, i: int):
-    """(beta1'', beta2'', beta3''(i), mu) for the character data."""
-    zero = common_field_zero(p, g1, gamma2, gamma3)
-    g1 = _lift_into(_norm_scalar(p, g1) if not isinstance(g1, ExtScalar) else g1, zero)
-    gamma2 = _lift_into(_norm_scalar(p, gamma2) if not isinstance(gamma2, ExtScalar) else gamma2, zero)
-    gamma3 = _lift_into(_norm_scalar(p, gamma3) if not isinstance(gamma3, ExtScalar) else gamma3, zero)
-    q = _lift_into(p.q, zero)
-    b1, b2, b3 = (_lift_into(b, zero) for b in p.beta)
+    """(beta1'', beta2'', beta3''(i), mu) for the character data, in Q(zeta_M)."""
+    g1, gamma2, gamma3 = p.scalar(g1), p.scalar(gamma2), p.scalar(gamma3)
+    b1, b2, b3 = p.beta
     gamma1 = g1**p.n
-    mu = g1 * q ** (i % p.n)
+    mu = g1 * p.qpow(i)
     beta1pp = b1 * (gamma1**p.n1 - gamma2**p.n)
     beta2pp = b2 * (gamma1**p.n1 - gamma3**p.n)
     beta3pp = b3 * (mu ** (2 * p.n1) - gamma2 * gamma3)
@@ -210,16 +167,10 @@ def kind_conditions(p: AlgebraParams, g1, gamma2, gamma3, i: int):
 
 def r_value(p: AlgebraParams, mu, gamma2, gamma3) -> Optional[int]:
     """Minimal v >= 1 with mu^(2 n1) q^((1-v) n1) = gamma2*gamma3, else None."""
-    zero = common_field_zero(p, mu, gamma2, gamma3)
-    mu = _lift_into(mu, zero)
-    q = _lift_into(p.q, zero)
-    target = _lift_into(_norm_scalar(p, gamma2) if not isinstance(gamma2, ExtScalar) else gamma2, zero) * _lift_into(
-        _norm_scalar(p, gamma3) if not isinstance(gamma3, ExtScalar) else gamma3, zero
-    )
-    lhs = mu ** (2 * p.n1)
-    qn1 = q**p.n1
+    target = p.scalar(gamma2) * p.scalar(gamma3)
+    lhs = p.scalar(mu) ** (2 * p.n1)
     for v in range(1, p.t + 1):
-        if (lhs * qn1 ** (1 - v) - target).is_zero():
+        if (lhs * p.qpow(p.n1 * (1 - v)) - target).is_zero():
             return v
     return None
 
@@ -232,11 +183,9 @@ def build_V0(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     b1, b2, b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     if not (b1.is_zero() and b2.is_zero() and b3.is_zero()):
         raise WrongType("V0 requires beta1'' = beta2'' = beta3''(i) = 0")
-    zero = mu.zero()
-    g2 = _lift_into(_norm_scalar(p, gamma2), zero)
-    g3 = _lift_into(_norm_scalar(p, gamma3), zero)
-    label = SimpleLabel("V0", _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % p.n)
-    return ModuleRep(1, {"a": [[mu]], "b": [[g2]], "c": [[g3]], "x": [[zero]], "y": [[zero]]}, label, p)
+    label = _label(p, "V0", g1, gamma2, gamma3, i)
+    mats = {"a": [[mu]], "b": [[label.gamma2]], "c": [[label.gamma3]], "x": [[p.zero]], "y": [[p.zero]]}
+    return ModuleRep(1, mats, label, p)
 
 
 def _seed_affine_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, lead, steps: int):
@@ -247,17 +196,15 @@ def _seed_affine_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, lead, st
     V_I and V_r read their y-coefficients upward (e_j = -2 j n1); V_II reads
     its x-coefficients downward from position n (e_j = 2 (n-1-j) n1).
     """
-    zero = mu.zero()
-    q = _lift_into(p.q, zero)
-    b3 = _lift_into(p.beta[2], zero)
-    g2g3 = _lift_into(_norm_scalar(p, gamma2), zero) * _lift_into(_norm_scalar(p, gamma3), zero)
-    qn1_inv = q ** (-p.n1)
+    b3 = p.beta[2]
+    g2g3 = p.scalar(gamma2) * p.scalar(gamma3)
+    qn1_inv = p.qpow(-p.n1)
     mu2 = mu ** (2 * p.n1)
     n = p.n
-    forms = [(lead, zero)]
+    forms = [(lead, p.zero)]
     for j in range(steps):
         e = 2 * (n - 1 - j) * p.n1 if kind == "VII" else -2 * j * p.n1
-        c_j = b3 * (mu2 * q ** (e % n) - g2g3)
+        c_j = b3 * (mu2 * p.qpow(e) - g2g3)
         alpha, delta = forms[-1]
         forms.append((qn1_inv * alpha, qn1_inv * delta + c_j))
     return forms
@@ -287,40 +234,39 @@ def _check_cyclic_kind(kind: str, b1, b2) -> None:
         raise WrongType("VII requires beta2'' != 0")
 
 
-def _scalar_mat(p: AlgebraParams, s, zero, dim: int):
-    return mat_scale(_lift_into(_norm_scalar(p, s), zero), identity(zero.one(), dim))
+def _scalar_mat(s, dim: int):
+    return mat_scale(s, identity(s.one(), dim))
 
 
 def _chain_module(p: AlgebraParams, label, zero, mu, gamma2, gamma3, up: str, wrap, coeffs, seed) -> ModuleRep:
-    """The module on v_0..v_(d-1), d = len(coeffs) + 1, with b and c scalar.
+    """The module on v_0..v_(d-1), d = len(coeffs) + 1, over the field of
+    `zero`, with b and c scalar.
 
     `up` (x or y) sends v_j -> v_(j+1) and v_(d-1) -> wrap v_0; the other of
     x, y sends v_j -> coeffs[j-1] v_(j-1) and v_0 -> seed v_(d-1); a v_j is
     mu q^-j v_j when x is the up-shift and mu q^j v_j when y is."""
     d = len(coeffs) + 1
-    one = zero.one()
-    q = _lift_into(p.q, zero)
     down, sign = ("y", -1) if up == "x" else ("x", 1)
     mats = {
-        "a": zeros(zero, d, d),
-        "b": _scalar_mat(p, gamma2, zero, d),
-        "c": _scalar_mat(p, gamma3, zero, d),
-        "x": zeros(zero, d, d),
-        "y": zeros(zero, d, d),
+        "a": zeros(p.zero, d, d),
+        "b": _scalar_mat(p.scalar(gamma2), d),
+        "c": _scalar_mat(p.scalar(gamma3), d),
+        "x": zeros(p.zero, d, d),
+        "y": zeros(p.zero, d, d),
     }
     for j in range(d):
-        mats["a"][j][j] = mu * q ** ((sign * j) % p.n)
+        mats["a"][j][j] = mu * p.qpow(sign * j)
     for j in range(d - 1):
-        mats[up][j + 1][j] = one
+        mats[up][j + 1][j] = p.one
         mats[down][j][j + 1] = coeffs[j]
     mats[up][0][d - 1] = wrap
     mats[down][d - 1][0] = seed
-    return ModuleRep(d, mats, label, p)
+    return ModuleRep(d, {g: [[lift(x, zero) for x in row] for row in mat] for g, mat in mats.items()}, label, p)
 
 
 def _vr_k_coeffs(p: AlgebraParams, mu, gamma2, gamma3, length: int):
     """k_1..k_length of the V_r chain (k_0 = 0)."""
-    return [delta for _alpha, delta in _seed_affine_chain(p, "Vr", mu, gamma2, gamma3, mu.zero(), length)[1:]]
+    return [delta for _alpha, delta in _seed_affine_chain(p, "Vr", mu, gamma2, gamma3, p.zero, length)[1:]]
 
 
 def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
@@ -334,15 +280,14 @@ def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     r = v if v is not None else p.t
     if not 2 <= r <= p.t:
         raise InternalInconsistency(f"computed r = {r} outside [2, t]")
-    zero = mu.zero()
     ks = _vr_k_coeffs(p, mu, gamma2, gamma3, r)
     for l, k in enumerate(ks[:-1], start=1):
         if k.is_zero():
             raise InternalInconsistency(f"k_{l} vanished below the minimal r")
     if not ks[-1].is_zero():
         raise InternalInconsistency("k_r != 0: the r-minimality scan is inconsistent")
-    label = SimpleLabel("Vr", _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % p.n, r=r)
-    return _chain_module(p, label, zero, mu, gamma2, gamma3, "x", zero, ks[:-1], zero)
+    label = _label(p, "Vr", g1, gamma2, gamma3, i, r=r)
+    return _chain_module(p, label, p.zero, mu, gamma2, gamma3, "x", p.zero, ks[:-1], p.zero)
 
 
 def _build_cyclic(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, kseed) -> ModuleRep:
@@ -350,29 +295,24 @@ def _build_cyclic(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, kseed
     (y the up-shift with wrap beta2'', x the k-chain)."""
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     _check_cyclic_kind(kind, b1, b2)
-    zero = common_field_zero(p, mu, kseed)
-    kseed = _lift_into(kseed, zero)
+    zero = field_zero(p.zero, kseed)
+    kseed = lift(kseed, zero)
     n = p.n
     wrap, target = (b1, b2) if kind == "VI" else (b2, b1)
-    chain = [
-        _lift_into(alpha, zero) * kseed + _lift_into(delta, zero)
-        for alpha, delta in _seed_affine_chain(p, kind, mu, gamma2, gamma3, wrap, n)
-    ]
+    chain = [kseed * alpha + delta for alpha, delta in _seed_affine_chain(p, kind, mu, gamma2, gamma3, wrap, n)]
     if not (chain[n] - chain[0]).is_zero():
         raise InternalInconsistency(f"V_{kind[1:]} wrap recurrence is inconsistent (t = 1 case)")
     coeffs = _by_position(kind, chain)
     prod = kseed
     for k in coeffs:
         prod = prod * k
-    target = _lift_into(target, zero)
+    target = lift(target, zero)
     if not (prod - target).is_zero():
         names = "beta2 (gamma1^n1 - gamma3^n)" if kind == "VI" else "beta1 (gamma1^n1 - gamma2^n)"
         raise SeedConstraintViolated(f"k1...kn = {prod!r} != {names} = {target!r}")
-    label = SimpleLabel(
-        kind, _norm_scalar(p, g1), _norm_scalar(p, gamma2), _norm_scalar(p, gamma3), i % n, kseed=kseed
-    )
+    label = _label(p, kind, g1, gamma2, gamma3, i, kseed=kseed)
     up = "x" if kind == "VI" else "y"
-    return _chain_module(p, label, zero, _lift_into(mu, zero), gamma2, gamma3, up, _lift_into(wrap, zero), coeffs, kseed)
+    return _chain_module(p, label, zero, mu, gamma2, gamma3, up, wrap, coeffs, kseed)
 
 
 def build_VI(p: AlgebraParams, g1, gamma2, gamma3, i: int, k1) -> ModuleRep:
@@ -386,7 +326,6 @@ def build_VII(p: AlgebraParams, g1, gamma2, gamma3, i: int, kn) -> ModuleRep:
 
 
 def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
-    label = normalize_label(p, label)
     if label.kind == "V0":
         return build_V0(p, label.g1, label.gamma2, label.gamma3, label.i)
     if label.kind == "Vr":
@@ -422,10 +361,9 @@ def seed_polynomial(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int):
     """The degree-n constraint on the k-seed, as little-endian coefficients."""
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     _check_cyclic_kind(kind, b1, b2)
-    zero = mu.zero()
-    poly = [zero, zero.one()]
+    poly = [p.zero, p.one]
     for alpha, delta in _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2):
-        poly = _poly_mul(poly, [delta, alpha], zero)
+        poly = _poly_mul(poly, [delta, alpha], p.zero)
     poly[0] = poly[0] - (b2 if kind == "VI" else b1)
     return poly
 
@@ -475,8 +413,8 @@ def verify_module(p: AlgebraParams, m: ModuleRep):
     Returns the list of failed relation names (empty list = valid module).
     """
     zero = m.zero_scalar()
-    q = _lift_into(p.q, zero)
-    b1, b2, b3 = (_lift_into(b, zero) for b in p.beta)
+    q = lift(p.q, zero)
+    b1, b2, b3 = (lift(b, zero) for b in p.beta)
     A, B, C, X, Y = (m.mat(g) for g in "abcxy")
     n, n1 = p.n, p.n1
     failures = []
@@ -547,8 +485,7 @@ def is_simple(p: AlgebraParams, m: ModuleRep) -> bool:
 
 def dual_module(p: AlgebraParams, m: ModuleRep) -> ModuleRep:
     """(h.f)(v) = f(s(h).v): matrices are transposes of antipode images."""
-    zero = m.zero_scalar()
-    q = _lift_into(p.q, zero)
+    q = lift(p.q, m.zero_scalar())
     n1 = p.n1
     A, B, C, X, Y = (m.mat(g) for g in "abcxy")
     Ainv = mat_inv(A)
@@ -695,7 +632,7 @@ def build_extension_prop46(
         raise ParameterConstraint("hypothesis q^(i/(n n1)+1+i) = 1 fails (needs q^i = 1)")
     n, n1 = p.n, p.n1
     zero, one = p.zero, p.one
-    varsigma = _norm_scalar(p, varsigma)
+    varsigma = p.scalar(varsigma)
     d = n + 1
     a = zeros(zero, d, d)
     for l in range(d):
@@ -731,7 +668,7 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
     Requires u = n/t >= 2 (otherwise x^n = 0 fails on the displayed chain),
     beta1'' = beta2'' = 0 and the gamma-data outside <q^n1> (so r = t).
     """
-    n, t = p.n, p.t
+    t = p.t
     if p.u is None or p.u < 2:
         raise ParameterConstraint("the displayed 2t-chain needs u = n/t >= 2")
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
@@ -739,22 +676,20 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
         raise ParameterConstraint("need beta1'' = beta2'' = 0")
     if r_value(p, mu, gamma2, gamma3) is not None:
         raise ParameterConstraint("need gamma1^(-2n1/n) gamma2 gamma3 outside <q^n1>")
-    zero = mu.zero()
-    one = zero.one()
-    q = _lift_into(p.q, zero)
-    g1n = _lift_into(_norm_scalar(p, g1), zero)
+    zero, one = p.zero, p.one
+    g1n = p.scalar(g1)
     d = 2 * t
     a = zeros(zero, d, d)
     for pdx in range(1, t + 1):
-        a[pdx - 1][pdx - 1] = g1n * q ** ((i - pdx + 1) % n)
-        a[t + pdx - 1][t + pdx - 1] = g1n * q ** ((i - t - pdx + 1) % n)
-    bmat = _scalar_mat(p, gamma2, zero, d)
-    cmat = _scalar_mat(p, gamma3, zero, d)
+        a[pdx - 1][pdx - 1] = g1n * p.qpow(i - pdx + 1)
+        a[t + pdx - 1][t + pdx - 1] = g1n * p.qpow(i - t - pdx + 1)
+    bmat = _scalar_mat(p.scalar(gamma2), d)
+    cmat = _scalar_mat(p.scalar(gamma3), d)
     x = zeros(zero, d, d)
     for pdx in range(d - 1):
         x[pdx + 1][pdx] = one
     ks_top = _vr_k_coeffs(p, mu, gamma2, gamma3, t - 1)
-    mu_low = g1n * q ** ((i - t) % n)
+    mu_low = g1n * p.qpow(i - t)
     ks_low = _vr_k_coeffs(p, mu_low, gamma2, gamma3, t - 1)
     y = zeros(zero, d, d)
     for pdx in range(2, t + 1):

@@ -173,6 +173,12 @@ def test_gelaki_orders_and_xstar():
     assert ctx.verify_xstar_power().ok
 
 
+def test_gelaki_ystar_power():
+    """The V_II mirror of the x*-power relation (Cor 5.14)."""
+    ctx = GelakiContext(AlgebraParams(3, 1, beta=(0, 1, 0), extra_orders=(6,)), 6)
+    assert ctx.verify_ystar_power().summary() == "cor5.14.ystar_power [N=6] -> y*^6 = n^5 s h: holds"
+
+
 def test_gelaki_label_closure():
     """Products of quotient classes stay inside the quotient label set."""
     p = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(6,))
@@ -233,6 +239,18 @@ CHAIN_SPLIT = ("proof(chain split per slot)", True, True)
         ("thm5.13", (0, 1, 0), (9,), "y_times_y", [
             [("[unique x unique]: n V_II constituents", True, True), ("printed(s VII class)", True, True)],
             [("[unique x unique]: n s g (V0 ladder)", True, True)],
+        ]),
+        ("thm5.8", (1, 0, 1), (9, 4), "thm5.8.z2_zdprime", [
+            [("printed(eta (z''_(xi q^-n1) + g^(n-1) z''))", True, True)],
+        ]),
+        ("thm5.17", (0, 1, 1), (9, 4), "thm5.17.z2_ztilde", [
+            [("printed(eta' (z~_(xi q^-n1) + g^(n-1) z~))", True, True)],
+        ]),
+        ("thm5.8", (1, 0, 1), (9, 4), "thm5.8.x_zdprime", [
+            [(f"printed(s'' x_(zeta1, zeta2 xi)) [class#{k}]", True, True) for k in range(3)],
+        ]),
+        ("thm5.17", (0, 1, 1), (9, 4), "thm5.17.y_ztilde", [
+            [(f"printed(s'' y_(eps1, eps2 xi)) [class#{k}]", True, True) for k in range(3)],
         ]),
     ],
 )

@@ -1,8 +1,21 @@
 import random
 from fractions import Fraction
 
-from hopfsl2.cyclo import CycScalar, euler_phi, rational, root_of_unity
-from hopfsl2.extfield import Tower, split_roots, find_field_roots, poly_eval
+import pytest
+
+from hopfsl2.algebra import AlgebraParams
+from hopfsl2.cyclo import CycScalar, IncompatibleModulus, euler_phi, rational, root_of_unity
+from hopfsl2.extfield import (
+    ExtScalar,
+    Tower,
+    base_constant,
+    field_zero,
+    find_field_roots,
+    lift,
+    poly_eval,
+    split_roots,
+)
+from hopfsl2.modules import solve_k_seed
 from hopfsl2.linalg import (
     identity,
     kron,
@@ -97,3 +110,36 @@ def test_find_field_roots_binomial():
     assert len(roots) == 2
     for r in roots:
         assert (r * r - q).is_zero()
+
+
+def test_tower_lift_rejects_scalar_outside_base_field():
+    # Q(zeta_12)[s]/(s^3 + 2) does not contain zeta_5
+    tw = Tower.make((rational(2, 12), rational(0, 12), rational(0, 12), rational(1, 12)))
+    with pytest.raises(IncompatibleModulus):
+        tw.lift(root_of_unity(5, 1))
+
+
+def test_lift_and_base_constant_round_trip_nested_tower():
+    # the VI seeds at g1 = zeta_9, beta = (1, 1, 1) need two tower steps
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seeds = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0, allow_extension=True)
+    zero = field_zero(p.zero, *seeds)
+    assert isinstance(zero, ExtScalar) and isinstance(zero.tower.base_zero(), ExtScalar)
+    for x in (p.sqrt_q, p.beta[0], root_of_unity(9, 2), rational(-3, 4)):
+        y = lift(x, zero)
+        assert y.tower is zero.tower
+        assert base_constant(y) == x
+    assert base_constant(p.q) is p.q
+
+
+def test_field_zero_picks_the_one_tower():
+    p = AlgebraParams(3, 1)
+    assert field_zero(p.zero) is p.zero
+    assert field_zero(p.zero, p.q, p.one) is p.zero
+    t1 = Tower.make((rational(2, 6), rational(0, 6), rational(0, 6), rational(1, 6)))
+    t2 = Tower.make((rational(3, 6), rational(0, 6), rational(0, 6), rational(1, 6)))
+    assert field_zero(p.zero, p.q, t1.gen()).tower is t1
+    with pytest.raises(TypeError):
+        field_zero(p.zero, t1.gen(), t2.gen())
+    with pytest.raises(TypeError):
+        field_zero(t1.lift(0), t2.gen())

@@ -21,6 +21,7 @@ from hopfsl2.modules import (
     is_simple,
     is_split,
     is_split_triple,
+    kind_conditions,
     modules_isomorphic,
     prop46_hypothesis,
     solve_k_seed,
@@ -167,6 +168,17 @@ def test_solve_k_seed_extension():
     assert any(isinstance(s, ExtScalar) for s in seeds)
     m = build_VI(p, minus1, 1, 1, 0, seeds[0])
     assert verify_module(p, m) == [] and is_simple(p, m)
+
+
+def test_character_data_must_be_cyclotomic():
+    """Only a k-seed may lie in a tower: kind_conditions rejects tower-valued
+    g1, gamma2 or gamma3."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 0), extra_orders=(6,))
+    seeds = solve_k_seed(p, "VI", root_of_unity(6, 3), 1, 1, 0, allow_extension=True)
+    ext_one = next(s for s in seeds if isinstance(s, ExtScalar)).one()
+    for data in ((ext_one, 1, 1), (1, ext_one, 1), (1, 1, ext_one)):
+        with pytest.raises(TypeError):
+            kind_conditions(p, *data, 0)
 
 
 def test_mutated_module_fails_verification(pb3):
