@@ -7,7 +7,6 @@ decomposition, and machine verification of the Grothendieck-ring relations.
 from .cyclo import CycScalar, rational, root_of_unity, parse_scalar
 from .algebra import (
     AlgebraParams,
-    AxiomViolation,
     QuotientParams,
     BlockAlgebra,
     Element,

@@ -7,7 +7,8 @@ SeedConstraintViolated, FieldTooSmall, ParameterConstraint,
 IncompatibleModulus, UnboundGenerator, PreconditionViolated), whose report
 carries "error": {class, message}; 2 usage error: a malformed argument or
 file (ParseError), an argparse error, a plain ValueError of parameter
-validation, or a --left/--right label of `fuse` that names no simple module.
+validation, a --left/--right label of `fuse` that names no simple module, or
+a --kseed-index of `build-module` outside [0, number of solved seeds).
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -202,6 +203,8 @@ def cmd_build_module(args) -> int:
         seeds = _sorted_seeds(
             solve_k_seed(p, args.kind, g1, gamma2, gamma3, args.i, allow_extension=True)
         )
+        if not 0 <= args.kseed_index < len(seeds):
+            raise ValueError(f"--kseed-index {args.kseed_index} is out of range: the solve gave {len(seeds)} seed(s)")
         kseed = seeds[args.kseed_index]
     label = SimpleLabel(args.kind, g1, gamma2, gamma3, args.i, r=args.r, kseed=kseed)
     m = build_simple(p, label)

@@ -5,13 +5,18 @@ rewrite per step, no caching, no power bookkeeping) and is kept deliberately
 separate from the package's straightening engine so the two can check each
 other.  The scalar oracle at the end computes in Q[x]/(x^M - 1) over
 Fraction coefficients and folds into the Phi_M basis only at the end, so it
-shares no code with the integer-vector arithmetic of hopfsl2.cyclo.
+shares no code with the integer-vector arithmetic of hopfsl2.cyclo.  The
+reference decomposition at the very end eliminates on all 2n*n trace rows,
+re-traced per call, where fusion.decompose keeps only the n^2 rows at j < n.
 """
 
 from fractions import Fraction
 
 from hopfsl2.algebra import Element, Monomial
 from hopfsl2.cyclo import CycScalar
+from hopfsl2.extfield import base_constant, field_zero, lift
+from hopfsl2.fusion import FusionVector, NoIntegerSolution, RankDeficient, candidate_simples, trace_vector
+from hopfsl2.linalg import rref
 
 
 def word_of_monomial(mono: Monomial) -> str:
@@ -234,3 +239,36 @@ class CyclicOracle:
         """Coordinates in the basis 1, zeta_M, ..., zeta_M^(phi(M)-1)."""
         _q, r = _poly_divmod(self.c, oracle_cyclotomic(self.M))
         return tuple(r)
+
+
+def reference_decompose(p, m, g1):
+    """Composition multiplicities of m from the full trace system.
+
+    One elimination of [candidate traces | traces of m] on every row
+    tr(a^j x^u y^u), j < 2n, with the candidate traces computed afresh; when
+    the candidates look dependent, once more with j < 4n.  Takes the
+    preconditions of fusion.decompose for granted.
+    """
+    gamma2, gamma3 = base_constant(m.mat("b")[0][0]), base_constant(m.mat("c")[0][0])
+    cands = candidate_simples(p, g1, gamma2, gamma3)
+    ambient = field_zero(m.zero_scalar(), *(cm.zero_scalar() for _, cm in cands))
+    ncand = len(cands)
+    jmax = 2 * p.n
+    while True:
+        cols = [[lift(t, ambient) for t in trace_vector(p, cm, jmax)] for _, cm in cands]
+        v = [lift(t, ambient) for t in trace_vector(p, m, jmax)]
+        red, pivots = rref([[col[w] for col in cols] + [v[w]] for w in range(len(v))])
+        if pivots[:ncand] == list(range(ncand)):
+            break
+        if jmax >= 4 * p.n:
+            raise RankDeficient(f"candidate trace vectors are linearly dependent (rank < {ncand})")
+        jmax *= 2
+    if ncand in pivots:
+        raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
+    mults = []
+    for c in range(ncand):
+        x = base_constant(red[c][ncand])
+        if not x.is_rational() or x.as_fraction().denominator != 1 or x.as_fraction() < 0:
+            raise NoIntegerSolution(f"non-integer multiplicity {x!r}")
+        mults.append(int(x.as_fraction()))
+    return FusionVector({lab: k for k, (lab, _) in zip(mults, cands) if k})

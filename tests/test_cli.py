@@ -82,6 +82,18 @@ def test_cli_build_module_with_seed_index(capsys):
     assert code == 0 and rep["results"]["dim"] == 3
 
 
+@pytest.mark.parametrize("index", ["1", "2", "-1"])
+def test_cli_build_module_seed_index_out_of_range_is_a_usage_error(capsys, index):
+    # at extra orders 9 and 4 the VI character of z9 has one solved seed
+    code = main([
+        "build-module", "--n", "3", "--n1", "1", "--beta", "1,0,0", "--kind", "VI", "--g1", "z9",
+        "--kseed-index", index, "--extra-orders", "9", "4",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: --kseed-index {index} is out of range: the solve gave 1 seed(s)" in captured.err
+
+
 def test_cli_vk_label_sugar(capsys):
     code, rep = run_cli(
         capsys, "fuse", "--n", "3", "--n1", "1", "--beta", "0,0,1",

@@ -7,7 +7,7 @@ import pytest
 from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
-from hopfsl2.extfield import ExtScalar
+from hopfsl2.extfield import ExtScalar, lift
 from hopfsl2.fusion import (
     CanonLabel,
     FusionVector,
@@ -22,7 +22,8 @@ from hopfsl2.fusion import (
     tensor,
     trace_vector,
 )
-from hopfsl2.linalg import mat_inv, mat_mul
+from hopfsl2.grothendieck import canonical_zr_label
+from hopfsl2.linalg import mat_inv, mat_mul, rref
 from hopfsl2.modules import (
     ModuleRep,
     SimpleLabel,
@@ -36,6 +37,7 @@ from hopfsl2.modules import (
     solve_k_seed,
     verify_module,
 )
+from oracles import reference_decompose
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +339,107 @@ def test_candidate_simples_label_order_is_pinned():
         f"ext[ext[{z}, {one}, {z}], ext[{z}, {z}, {z}]]",
         f"ext[ext[cyc(18; 1, -1, 0, 0, 0, 0), {minus_one}, {z}], ext[{minus_one}, {z}, {z}]]",
     ]
+
+
+# -- the n^2 trace rows that decompose eliminates on ---------------------------
+
+
+def _character_cases():
+    """(params, g1, candidates of the character of g1, tensor product, its g1):
+    one cyclotomic point, and the thm5.19 point, whose VI candidates live in
+    a nested tower, with a VI candidate times the trivial module."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    z3 = build_simple(p, z3_label(p))
+    g1 = p.q * p.q
+    yield p, g1, candidate_simples(p, g1, p.one, p.one), tensor(p, z3, z3), g1
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    cands = candidate_simples(p, z9, p.one, p.one)
+    assert all(isinstance(cm.zero_scalar(), ExtScalar) for _, cm in cands)
+    yield p, z9, cands, tensor(p, cands[0][1], build_V0(p, 1, 1, 1, 0)), z9
+
+
+def test_trace_rows_past_n_are_gamma1_times_the_rows_below_n():
+    """a^n acts as gamma1 = g1^n, so row (j + n, u) is gamma1 times row
+    (j, u) on every candidate and on a tensor product; the basis keeps the
+    n^2 rows at j < n and the fingerprint the 2n*n keys."""
+    for p, g1, cands, mt, mt_g1 in _character_cases():
+        n = p.n
+        basis = fusion._character_basis(p, g1, p.one, p.one)
+        for m, root in [(cm, g1) for _, cm in cands] + [(mt, mt_g1)]:
+            row = trace_vector(p, m, 2 * n)
+            gamma1 = lift(root, m.zero_scalar()) ** n
+            assert [t.key() for t in row[n * n :]] == [(gamma1 * t).key() for t in row[: n * n]]
+        for lab, cm in cands:
+            row = trace_vector(p, cm, 2 * n)
+            assert [t.key() for t in basis.rows[lab]] == [t.key() for t in row[: n * n]]
+            assert lab.fingerprint == tuple(t.key() for t in row)
+
+
+def test_decompose_makes_one_rref_on_n_squared_rows(monkeypatch):
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(fusion, "rref", spy)
+    for p, _g1, _cands, mt, mt_g1 in _character_cases():
+        calls.clear()
+        fv = decompose(p, mt, mt_g1)
+        assert calls == [p.n**2]
+        assert fv.total_dim() == mt.dim
+
+
+def _simple_pairs(kind):
+    """(hypothesis, strategy of (p, l1, l2)) for n <= 4: z_r x z_s at
+    beta = (0,0,1) (kind "z"), V0 pairs at beta = (0,0,0) and VI pairs with
+    in-field k-seeds at beta = (1,0,0); skips the calling test without
+    hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.sampled_from([3, 4, 2]))
+        if kind == "z":
+            p = AlgebraParams(n, 1, beta=(0, 0, 1))
+            r, s = (draw(st.sampled_from(range(p.t, 1, -1))) for _ in range(2))
+            return p, canonical_zr_label(p, r), canonical_zr_label(p, s)
+        p = AlgebraParams(n, 1, beta=(1, 0, 0) if kind == "VI" else (0, 0, 0), extra_orders=(n * n,))
+        labels = []
+        for _ in range(2):
+            i = draw(st.integers(0, n - 1))
+            gamma3 = root_of_unity(n, draw(st.integers(0, n - 1)))
+            if kind == "V0":
+                g1 = root_of_unity(n * n, draw(st.integers(0, n * n - 1)))
+                gamma2 = root_of_unity(n, draw(st.integers(0, n - 1)))
+                labels.append(SimpleLabel("V0", g1, gamma2, gamma3, i))
+            else:
+                g1 = root_of_unity(n * n, draw(st.sampled_from([e for e in range(1, n * n) if e % n])))
+                seeds = solve_k_seed(p, "VI", g1, 1, gamma3, i)
+                kseed = draw(st.sampled_from(seeds))
+                labels.append(SimpleLabel("VI", g1, p.one, gamma3, i, kseed=kseed))
+        return (p, *labels)
+
+    return hypothesis, pairs()
+
+
+@pytest.mark.parametrize("kind", ["z", "V0", "VI"])
+def test_decompose_matches_full_trace_system_property(kind):
+    """decompose on the n^2 rows agrees with the elimination on all 2n*n
+    rows, and the composition factors account for every dimension."""
+    hypothesis, pairs = _simple_pairs(kind)
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=15)
+    @hypothesis.given(pairs)
+    def check(case):
+        p, l1, l2 = case
+        m1, m2 = build_simple(p, l1), build_simple(p, l2)
+        mt = tensor(p, m1, m2, check=False)
+        g1 = m1.label.g1 * m2.label.g1
+        fv = decompose(p, mt, g1)
+        assert fv == reference_decompose(p, mt, g1)
+        assert fv.total_dim() == m1.dim * m2.dim
+
+    check()
