@@ -762,11 +762,11 @@ class QuotientParams:
     def omega0(self) -> CycScalar:
         return root_of_unity(self.p.M, self.p.M // self.N)
 
-    def central_idempotents(self, check: bool = True) -> list[Element]:
+    def central_idempotents(self) -> list[Element]:
         """e_i = (1/(m(n-1))) sum_j (omega^i a^n)^j, i = 0..m(n-1)-1.
 
-        With check=True (the default) orthogonality, completeness and
-        centrality against a, x, y are verified exactly."""
+        Orthogonality, completeness and centrality against a, x, y are
+        verified exactly; a failure raises PreconditionViolated."""
         p = self.p
         d = self.m * (p.n - 1)
         omega = self.omega()
@@ -777,21 +777,20 @@ class QuotientParams:
             for j in range(d):
                 _accum(e.terms, Monomial((p.n * j) % self.N, 0, 0, 0, 0), (omega ** (i * j)) * inv_d)
             out.append(e)
-        if check:
-            total = Element()
+        total = Element()
+        for e in out:
+            total = total + e
+        if total != p.unit():
+            raise PreconditionViolated("central idempotents do not sum to 1")
+        for i, ei in enumerate(out):
+            for j, ej in enumerate(out):
+                if self.mul(ei, ej) != (ei if i == j else Element()):
+                    raise PreconditionViolated(f"e_{i} e_{j} is not delta_ij e_i")
+        for gname in "axy":
+            g = p.gen(gname)
             for e in out:
-                total = total + e
-            if total != p.unit():
-                raise PreconditionViolated("central idempotents do not sum to 1")
-            for i, ei in enumerate(out):
-                for j, ej in enumerate(out):
-                    if self.mul(ei, ej) != (ei if i == j else Element()):
-                        raise PreconditionViolated(f"e_{i} e_{j} is not delta_ij e_i")
-            for gname in "axy":
-                g = p.gen(gname)
-                for e in out:
-                    if self.mul(e, g) != self.mul(g, e):
-                        raise PreconditionViolated(f"e_i does not commute with {gname}")
+                if self.mul(e, g) != self.mul(g, e):
+                    raise PreconditionViolated(f"e_i does not commute with {gname}")
         return out
 
     def block_dimension(self, idem: Element) -> int:
@@ -964,11 +963,12 @@ class BlockAlgebra:
             if not self.c0.is_zero():
                 self._straighten_block(out, a, b1, v - 1, b2 - 1, c2, f * self.c0)
 
-    def weight_idempotents(self, check: bool = True) -> list[dict]:
+    def weight_idempotents(self) -> list[dict]:
         """f_i = (1/n) sum_j (q^i g)^j inside the block.
 
-        With check=True the delta-orthogonality, the sum-to-one and the shift
-        identities f_i x = x f_(i-1), f_i y = y f_(i+1) are verified exactly."""
+        The delta-orthogonality, the sum-to-one and the shift identities
+        f_i x = x f_(i-1), f_i y = y f_(i+1) are verified exactly; a failure
+        raises PreconditionViolated."""
         p = self.p
         n = p.n
         out = []
@@ -981,24 +981,23 @@ class BlockAlgebra:
                 cur = f.get(key)
                 f[key] = val if cur is None else cur + val
             out.append(f)
-        if check:
-            total: dict[tuple[int, int, int], CycScalar] = {}
-            for f in out:
-                for key, val in f.items():
-                    total[key] = total.get(key, p.zero) + val
-            total = {k: v for k, v in total.items() if not v.is_zero()}
-            if total != {(0, 0, 0): p.one}:
-                raise PreconditionViolated("weight idempotents do not sum to 1")
-            xm = {(0, 1, 0): p.one}
-            ym = {(0, 0, 1): p.one}
-            for i in range(n):
-                for j in range(n):
-                    if self.multiply(out[i], out[j]) != (out[i] if i == j else {}):
-                        raise PreconditionViolated(f"f_{i} f_{j} is not delta_ij f_i")
-                if self.multiply(out[i], xm) != self.multiply(xm, out[(i - 1) % n]):
-                    raise PreconditionViolated(f"f_{i} x != x f_{i-1}")
-                if self.multiply(out[i], ym) != self.multiply(ym, out[(i + 1) % n]):
-                    raise PreconditionViolated(f"f_{i} y != y f_{i+1}")
+        total: dict[tuple[int, int, int], CycScalar] = {}
+        for f in out:
+            for key, val in f.items():
+                total[key] = total.get(key, p.zero) + val
+        total = {k: v for k, v in total.items() if not v.is_zero()}
+        if total != {(0, 0, 0): p.one}:
+            raise PreconditionViolated("weight idempotents do not sum to 1")
+        xm = {(0, 1, 0): p.one}
+        ym = {(0, 0, 1): p.one}
+        for i in range(n):
+            for j in range(n):
+                if self.multiply(out[i], out[j]) != (out[i] if i == j else {}):
+                    raise PreconditionViolated(f"f_{i} f_{j} is not delta_ij f_i")
+            if self.multiply(out[i], xm) != self.multiply(xm, out[(i - 1) % n]):
+                raise PreconditionViolated(f"f_{i} x != x f_{i-1}")
+            if self.multiply(out[i], ym) != self.multiply(ym, out[(i + 1) % n]):
+                raise PreconditionViolated(f"f_{i} y != y f_{i+1}")
         return out
 
     def radical_check(self) -> bool:

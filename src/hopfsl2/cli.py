@@ -1,14 +1,19 @@
 """Command-line front end: axiom suites, module construction, fusion and
 relation verification, with machine-readable JSON reports.
 
+Each command returns (ok, results); `main` builds the one report-v1 dict
+(schema, command, config, pass, then results or error) and prints it.
+Which relations a suite runs is decided in `grothendieck.run_suite`.
+
 Exit codes: 0 all requested checks pass; 1 a check failed, including a typed
 error of the library (every ArithmeticError, and WrongType,
 SeedConstraintViolated, FieldTooSmall, ParameterConstraint,
 IncompatibleModulus, UnboundGenerator, PreconditionViolated), whose report
 carries "error": {class, message}; 2 usage error: a malformed argument or
 file (ParseError), an argparse error, a plain ValueError of parameter
-validation, a --left/--right label of `fuse` that names no simple module, or
-a --kseed-index of `build-module` outside [0, number of solved seeds).
+validation, a --left/--right label of `fuse` that names no simple module,
+a --kseed-index of `build-module` outside [0, number of solved seeds), or a
+quotient suite without --N.
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -30,15 +36,7 @@ from . import __version__
 from .algebra import AlgebraParams, IntegralCheckFailed, PreconditionViolated, QuotientParams
 from .cyclo import CycScalar, IncompatibleModulus, ParseError, parse_scalar, rational, root_of_unity
 from .fusion import fuse, fusion_table
-from .grothendieck import (
-    SUITES,
-    GelakiContext,
-    UnboundGenerator,
-    compare_fusion_rings,
-    default_suite_instances,
-    radford_context,
-    verify_relation,
-)
+from .grothendieck import SUITES, GelakiContext, UnboundGenerator, compare_fusion_rings, radford_context, run_suite
 from .modules import (
     FieldTooSmall,
     ParameterConstraint,
@@ -131,22 +129,26 @@ def parse_label(text: str, p: AlgebraParams) -> SimpleLabel:
     return SimpleLabel(kind, g1, gamma2, gamma3, i, r=r, kseed=kseed)
 
 
-def _beta_tuple(text: str):
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 3:
-        raise ParseError("--beta wants three comma-separated scalars")
-    return parts
-
-
-def make_params(args) -> AlgebraParams:
+def make_params(args, beta_text=None) -> AlgebraParams:
+    """AlgebraParams from --n, --n1, --extra-orders and --N, with beta read
+    from beta_text (default --beta)."""
     extra = tuple(args.extra_orders or ())
     if getattr(args, "N", None):
         extra = extra + (args.N,)
-    beta_parts = _beta_tuple(args.beta)
+    parts = [t.strip() for t in (args.beta if beta_text is None else beta_text).split(",")]
+    if len(parts) != 3:
+        raise ParseError("--beta wants three comma-separated scalars")
     # betas may reference q: parse in two passes
     p0 = AlgebraParams(args.n, args.n1, beta=(0, 0, 0), extra_orders=extra)
-    beta = tuple(parse_scalar_expr(t, p0) for t in beta_parts)
+    beta = tuple(parse_scalar_expr(t, p0) for t in parts)
     return AlgebraParams(args.n, args.n1, beta=beta, extra_orders=extra)
+
+
+def _make_quotient(args) -> QuotientParams:
+    """The finite quotient at --m/--n2/--n3.  Its working field needs the
+    n(n-1)m-th roots of unity, which join --extra-orders (and the config)."""
+    args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * args.m]
+    return QuotientParams(make_params(args), args.m, args.n2, args.n3)
 
 
 def emit(args, report: dict) -> None:
@@ -162,35 +164,29 @@ def config_dict(args) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def cmd_verify_axioms(args) -> int:
-    if args.m is not None:
-        args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * args.m]
-    p = make_params(args)
+def cmd_verify_axioms(args):
+    qp = _make_quotient(args) if args.m is not None else None
+    p = make_params(args) if qp is None else qp.p
     rep = p.check_hopf_axioms(n_random=args.n_random, seed=args.seed)
     results = {
         name: {"ok": ok, "witness": wit}
         for name, (ok, wit) in rep.results.items()
     }
-    quotient_ok = None
-    if args.m is not None:
-        import random
-
-        qp = QuotientParams(p, args.m, args.n2 or 0, args.n3 or 0)
-        rng = random.Random(args.seed)
-        quotient_ok = True
-        for _ in range(20):
-            u = p.random_element(rng)
-            v = p.random_element(rng)
-            if qp.reduce(p.mul(u, v)) != qp.mul(qp.reduce(u), qp.reduce(v)):
-                quotient_ok = False
-                break
-        results["quotient_reduce_algebra_map"] = {"ok": quotient_ok, "witness": None}
-    ok = rep.ok and (quotient_ok is not False)
-    emit(args, {"schema": SCHEMA, "command": "verify-axioms", "config": config_dict(args), "pass": ok, "results": results})
-    return 0 if ok else 1
+    if qp is None:
+        return rep.ok, results
+    rng = random.Random(args.seed)
+    quotient_ok = True
+    for _ in range(20):
+        u = p.random_element(rng)
+        v = p.random_element(rng)
+        if qp.reduce(p.mul(u, v)) != qp.mul(qp.reduce(u), qp.reduce(v)):
+            quotient_ok = False
+            break
+    results["quotient_reduce_algebra_map"] = {"ok": quotient_ok, "witness": None}
+    return rep.ok and quotient_ok, results
 
 
-def cmd_build_module(args) -> int:
+def cmd_build_module(args):
     p = make_params(args)
     kseed = parse_scalar_expr(args.kseed, p) if args.kseed else None
     g1 = parse_scalar_expr(args.g1, p)
@@ -209,23 +205,15 @@ def cmd_build_module(args) -> int:
     label = SimpleLabel(args.kind, g1, gamma2, gamma3, args.i, r=args.r, kseed=kseed)
     m = build_simple(p, label)
     bad = verify_module(p, m)
-    report = {
-        "schema": SCHEMA,
-        "command": "build-module",
-        "config": config_dict(args),
-        "pass": not bad,
-        "results": {
-            "dim": m.dim,
-            "label": str(m.label),
-            "failed_relations": bad,
-            "matrices": {
-                g: [[repr(x) for x in row] for row in m.mat(g)]
-                for g in "abcxy"
-            },
+    return not bad, {
+        "dim": m.dim,
+        "label": str(m.label),
+        "failed_relations": bad,
+        "matrices": {
+            g: [[repr(x) for x in row] for row in m.mat(g)]
+            for g in "abcxy"
         },
     }
-    emit(args, report)
-    return 0 if not bad else 1
 
 
 def _simple_label_arg(text: str, p: AlgebraParams, flag: str) -> SimpleLabel:
@@ -239,138 +227,79 @@ def _simple_label_arg(text: str, p: AlgebraParams, flag: str) -> SimpleLabel:
     return label
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args):
     p = make_params(args)
     l1 = _simple_label_arg(args.left, p, "--left")
     l2 = _simple_label_arg(args.right, p, "--right")
-    fv = fuse(p, l1, l2)
-    report = {
-        "schema": SCHEMA,
-        "command": "fuse",
-        "config": config_dict(args),
-        "pass": True,
-        "results": {"left": str(l1), "right": str(l2), "decomposition": fv.as_dict()},
-    }
-    emit(args, report)
-    return 0
+    return True, {"left": str(l1), "right": str(l2), "decomposition": fuse(p, l1, l2).as_dict()}
 
 
-def cmd_fusion_table(args) -> int:
+def cmd_fusion_table(args):
     p = make_params(args)
     with open(args.labels_file) as fh:
         labels = [parse_label(line, p) for line in fh if line.strip() and not line.startswith("#")]
     table = fusion_table(p, labels)
-    results = {}
-    for (i, j), fv in table.items():
-        results[f"{i},{j}"] = fv.as_dict()
-    report = {
-        "schema": SCHEMA,
-        "command": "fusion-table",
-        "config": config_dict(args),
-        "pass": True,
-        "results": {"labels": [str(l) for l in labels], "table": results},
+    return True, {
+        "labels": [str(l) for l in labels],
+        "table": {f"{i},{j}": fv.as_dict() for (i, j), fv in table.items()},
     }
-    emit(args, report)
-    return 0
 
 
-def cmd_verify_relations(args) -> int:
-    reports = []
-    if args.suite in ("cor-gelaki", "radford", "remark5.21"):
-        if args.suite == "radford":
-            ctx = radford_context(args.N, args.n1, beta3=1)
-        else:
-            p = make_params(args)
-            ctx = GelakiContext(p, args.N)
-        if args.suite == "remark5.21":
-            beta = [parse_scalar_expr(t, ctx.p) for t in _beta_tuple(args.beta)]
-            beta_b = list(beta)
-            beta_b[1] = ctx.p.zero
-            p2 = AlgebraParams(args.n, args.n1, beta=tuple(beta_b), extra_orders=(args.N,) + tuple(args.extra_orders or ()))
-            ctx2 = GelakiContext(p2, args.N)
-            cmp_rep = compare_fusion_rings(ctx, ctx2)
-            ok = bool(cmp_rep.get("equal"))
-            emit(args, {"schema": SCHEMA, "command": "verify-relations", "config": config_dict(args), "pass": ok, "results": cmp_rep})
-            return 0 if ok else 1
-        reports.extend(r.as_dict() for r in ctx.verify_orders())
-        if ctx.case() == 1:
-            try:
-                reports.append(ctx.verify_xstar_power().as_dict())
-            except Exception as exc:  # reported, not fatal
-                reports.append({"relation": "cor5.11.xstar_power", "ok": False, "error": str(exc)})
-        if not ctx.p.beta[2].is_zero():
-            # the inherited z-relation family (the quotient's z'-power identity
-            # is an instance of the z' x z' product relation)
-            for rid, bindings in default_suite_instances(ctx.p, "thm5.5"):
-                reports.append(verify_relation(ctx.p, rid, **bindings).as_dict())
+def cmd_verify_relations(args):
+    # radford's algebra is Gelaki's at Radford's parameters; --n and --beta are unused
+    if args.suite == "radford" and args.N:
+        p = radford_context(args.N, args.n1, beta3=1).p
     else:
         p = make_params(args)
-        for rid, bindings in default_suite_instances(p, args.suite):
-            reports.append(verify_relation(p, rid, **bindings).as_dict())
-    ok = all(r.get("passed", r.get("ok")) for r in reports)
-    emit(args, {"schema": SCHEMA, "command": "verify-relations", "config": config_dict(args), "pass": ok, "results": reports})
-    return 0 if ok else 1
+    return run_suite(p, args.suite, args.N)
 
 
-def cmd_compare_rings(args) -> int:
-    extra = (args.N,) + tuple(args.extra_orders or ())
-    p0 = AlgebraParams(args.n, args.n1, beta=(0, 0, 0), extra_orders=extra)
-    betaA = tuple(parse_scalar_expr(t, p0) for t in _beta_tuple(args.beta_a))
-    betaB = tuple(parse_scalar_expr(t, p0) for t in _beta_tuple(args.beta_b))
-    ctxA = GelakiContext(AlgebraParams(args.n, args.n1, beta=betaA, extra_orders=extra), args.N)
-    ctxB = GelakiContext(AlgebraParams(args.n, args.n1, beta=betaB, extra_orders=extra), args.N)
+def cmd_compare_rings(args):
+    ctxA = GelakiContext(make_params(args, args.beta_a), args.N)
+    ctxB = GelakiContext(make_params(args, args.beta_b), args.N)
     rep = compare_fusion_rings(ctxA, ctxB)
-    ok = bool(rep.get("equal"))
-    emit(args, {"schema": SCHEMA, "command": "compare-rings", "config": config_dict(args), "pass": ok, "results": rep})
-    return 0 if ok else 1
+    return bool(rep.get("equal")), rep
 
 
-def cmd_integral_check(args) -> int:
-    args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * args.m]
-    p = make_params(args)
-    qp = QuotientParams(p, args.m, args.n2 or 0, args.n3 or 0)
+def cmd_integral_check(args):
+    qp = _make_quotient(args)
     try:
         lam = qp.check_integral()
-        ok = True
-        results = {"integral": lam.serialize(), "checked_monomials": len(qp.basis())}
     except IntegralCheckFailed as exc:
-        ok = False
-        results = {"error": str(exc)}
-    emit(args, {"schema": SCHEMA, "command": "integral-check", "config": config_dict(args), "pass": ok, "results": results})
-    return 0 if ok else 1
+        return False, {"error": str(exc)}
+    return True, {"integral": lam.serialize(), "checked_monomials": len(qp.basis())}
 
 
-def cmd_idempotents(args) -> int:
-    args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * args.m]
-    p = make_params(args)
-    qp = QuotientParams(p, args.m, args.n2 or 0, args.n3 or 0)
-    report = {"schema": SCHEMA, "command": "idempotents", "config": config_dict(args)}
+def cmd_idempotents(args):
+    qp = _make_quotient(args)
     try:
         # sum to 1, orthogonality and centrality are checked exactly here
-        idems = qp.central_idempotents(check=True)
+        idems = qp.central_idempotents()
     except PreconditionViolated as exc:
-        emit(args, {**report, "pass": False, "results": {"error": str(exc)}})
-        return 1
+        return False, {"error": str(exc)}
+    n = qp.p.n
     dims = [qp.block_dimension(e) for e in idems]
-    ok = all(d == p.n**3 for d in dims)
-    results = {
+    return all(d == n**3 for d in dims), {
         "count": len(idems),
-        "expected_count": qp.m * (p.n - 1),
+        "expected_count": qp.m * (n - 1),
         "block_dimensions": dims,
         "idempotents": [e.serialize() for e in idems],
     }
-    emit(args, {**report, "pass": ok, "results": results})
-    return 0 if ok else 1
 
 
-def _add_common(sp, need_beta=True):
+def _add_common(sp):
     sp.add_argument("--config", type=str, default=None, help="key=value file supplying defaults for any flag (flags override)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--n1", type=int, required=True)
-    if need_beta:
-        sp.add_argument("--beta", type=str, default="0,0,0", help="comma-separated scalars, e.g. 1,0,0 or 1,q^2,0")
+    sp.add_argument("--beta", type=str, default="0,0,0", help="comma-separated scalars, e.g. 1,0,0 or 1,q^2,0")
     sp.add_argument("--extra-orders", type=int, nargs="*", dest="extra_orders", help="extra root-of-unity orders to include in the working field")
     sp.add_argument("--out", type=str, default=None, help="also write the JSON report to this path")
+
+
+def _add_quotient(sp, required: bool):
+    sp.add_argument("--m", type=int, required=required, default=None)
+    sp.add_argument("--n2", type=int, default=0)
+    sp.add_argument("--n3", type=int, default=0)
 
 
 def load_config_file(path: str) -> dict:
@@ -386,9 +315,6 @@ def load_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = value
     return out
-
-
-_INT_KEYS = {"n", "n1", "m", "n2", "n3", "N", "seed", "n_random", "i", "r"}
 
 
 def apply_config_defaults(argv: list) -> list:
@@ -415,9 +341,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("verify-axioms", help="verify the Hopf axioms exactly")
     _add_common(sp)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n2", type=int, default=0)
-    sp.add_argument("--n3", type=int, default=0)
+    _add_quotient(sp, required=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n-random", type=int, default=100)
     sp.set_defaults(fn=cmd_verify_axioms)
@@ -464,16 +388,12 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("integral-check", help="verify the two-sided integral of the finite quotient")
     _add_common(sp)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n2", type=int, default=0)
-    sp.add_argument("--n3", type=int, default=0)
+    _add_quotient(sp, required=True)
     sp.set_defaults(fn=cmd_integral_check)
 
     sp = sub.add_parser("idempotents", help="central idempotents and block dimensions")
     _add_common(sp)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n2", type=int, default=0)
-    sp.add_argument("--n3", type=int, default=0)
+    _add_quotient(sp, required=True)
     sp.set_defaults(fn=cmd_idempotents)
 
     if argv is None:
@@ -488,19 +408,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
+        ok, results = args.fn(args)
+        body = {"results": results}
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LIBRARY_ERRORS as exc:
         # a failure of the library: a failed check, reported as such
-        error = {"class": type(exc).__name__, "message": str(exc)}
-        print(f"error: {error['class']}: {error['message']}", file=sys.stderr)
-        emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": False, "error": error})
-        return 1
+        ok, body = False, {"error": {"class": type(exc).__name__, "message": str(exc)}}
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": ok, **body})
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -375,14 +375,21 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
         raise WrongType("g1^n does not match the a^n scalar")
     cands = candidate_simples(p, g1n, g2c, g3c)
     basis = _character_basis(p, g1n, g2c, g3c)
-    # ambient field: the one tower among m and the candidates
+    # ambient field: the one tower among m and the candidates, or the
+    # candidates' when every trace of m is a constant of Q(zeta_M)
+    traces = trace_vector(p, m, p.n)
+    cand_zeros = [cm.zero_scalar() for _, cm in cands]
     try:
-        ambient = field_zero(zero, *(cm.zero_scalar() for _, cm in cands))
+        ambient = field_zero(zero, *cand_zeros)
     except TypeError:
-        raise RankDeficient("candidates live over incompatible towers") from None
+        try:
+            traces = [base_constant(t) for t in traces]
+        except ValueError:
+            raise RankDeficient("candidates live over incompatible towers") from None
+        ambient = field_zero(p.zero, *cand_zeros)
     ncand = len(cands)
     cols = [[lift(t, ambient) for t in basis.rows[lab]] for lab, _ in cands]
-    v = [lift(t, ambient) for t in trace_vector(p, m, p.n)]
+    v = [lift(t, ambient) for t in traces]
     # one elimination of [candidate traces | traces of m], one equation per
     # trace: the candidates are independent iff each of the first ncand
     # columns holds a pivot, and the system is inconsistent iff column ncand

@@ -714,12 +714,33 @@ def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> Fusio
 # -- suites ------------------------------------------------------------------
 
 
-def run_suite(p: AlgebraParams, suite: str, instances) -> list[RelationReport]:
-    """Run a list of (relation_id, bindings) pairs."""
-    out = []
-    for rid, bindings in instances:
-        out.append(verify_relation(p, rid, **bindings))
-    return out
+def run_suite(p: AlgebraParams, suite: str, N: int | None = None) -> tuple[bool, list | dict]:
+    """Run one of SUITES at p: (passed, results as report dicts).
+
+    The quotient suites work in Gelaki's quotient by a^N - 1 and need N
+    (radford's p is Gelaki's algebra at Radford's parameters, see
+    radford_context): the orders of Cor 5.3, x*'s power in its case 1
+    (beta3 = 0, beta1 or beta2 nonzero) and the inherited thm5.5 family when
+    beta3 != 0.  remark5.21's results are the comparison of the quotient
+    ring with the one at beta2 = 0."""
+    if suite not in ("cor-gelaki", "radford", "remark5.21"):
+        reports = [verify_relation(p, rid, **b) for rid, b in default_suite_instances(p, suite)]
+        return all(r.passed for r in reports), [r.as_dict() for r in reports]
+    if N is None:
+        raise ValueError(f"suite {suite} needs N")
+    ctx = GelakiContext(p, N)
+    if suite == "remark5.21":
+        b1, _b2, b3 = p.beta
+        cmp = compare_fusion_rings(ctx, GelakiContext(AlgebraParams(p.n, p.n1, beta=(b1, p.zero, b3)), N))
+        return bool(cmp.get("equal")), cmp
+    reports = ctx.verify_orders()
+    if ctx.case() == 1:
+        reports.append(ctx.verify_xstar_power())
+    if not p.beta[2].is_zero():
+        # the inherited z-relation family (the quotient's z'-power identity
+        # is an instance of the z' x z' product relation)
+        reports.extend(verify_relation(p, rid, **b) for rid, b in default_suite_instances(p, "thm5.5"))
+    return all(r.passed for r in reports), [r.as_dict() for r in reports]
 
 
 SUITES = (
@@ -903,9 +924,6 @@ class GelakiContext:
             return 3
         return 4  # all zero
 
-    def g(self) -> FusionVector:
-        return g_class(self.p)
-
     def h_data(self):
         """(name, displayed exponent of frak_q, claimed order) per Cor 5.3's cases."""
         p, N = self.p, self.N
@@ -946,20 +964,9 @@ class GelakiContext:
             out.append((conv, c, ""))
         return name, order, out
 
-    def _star(self, kind: str, kseed=None) -> FusionVector:
-        """[V(frak_q^n, 1, 1; 0)] of the kind (unique seed-class unless kseed given)."""
-        p = self.p
-        if kseed is not None:
-            return cls(p, SimpleLabel(kind, self.frak_q, p.one, p.one, 0, kseed=kseed))
-        return _resolve_vi(p, self.frak_q, p.one, p.one, kind)
-
-    def xstar(self, kseed=None) -> FusionVector:
-        """x* = [V_I(frak_q^n, 1, 1; 0)] (unique seed-class unless kseed given)."""
-        return self._star("VI", kseed)
-
-    def ystar(self, kseed=None) -> FusionVector:
-        """y* = [V_II(frak_q^n, 1, 1; 0)] (unique seed-class unless kseed given)."""
-        return self._star("VII", kseed)
+    def _star(self, kind: str) -> FusionVector:
+        """x* or y* = [V(frak_q^n, 1, 1; 0)] of the kind (its unique seed-class)."""
+        return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, kind)
 
     def verify_orders(self) -> list[RelationReport]:
         """g^n = 1 and the printed h-order for this beta-case (all conventions)."""

@@ -199,3 +199,27 @@ def test_cli_typed_library_error_exits_1_with_report(tmp_path, capsys):
     assert rep["pass"] is False
     assert rep["error"] == {"class": "WrongType", "message": "Vr requires beta3''(i) != 0"}
     assert "error: WrongType: Vr requires beta3''(i) != 0" in captured.err
+
+
+def test_cli_library_error_in_a_quotient_suite_exits_1_with_error_block(monkeypatch, capsys):
+    """A library error inside a quotient suite is a failed check with the
+    report's top-level error block, not a row of the results."""
+    from hopfsl2.fusion import RankDeficient
+    from hopfsl2.grothendieck import GelakiContext
+
+    def failing_power(self):
+        raise RankDeficient("candidate trace vectors are linearly dependent (rank < 2)")
+
+    monkeypatch.setattr(GelakiContext, "verify_xstar_power", failing_power)
+    code = main(["verify-relations", "--suite", "cor-gelaki", "--n", "3", "--n1", "1",
+                 "--beta", "1,0,0", "--N", "6"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1
+    assert rep["command"] == "verify-relations" and rep["pass"] is False
+    assert "results" not in rep
+    assert rep["error"] == {
+        "class": "RankDeficient",
+        "message": "candidate trace vectors are linearly dependent (rank < 2)",
+    }
+    assert "error: RankDeficient: candidate trace vectors are linearly dependent" in captured.err

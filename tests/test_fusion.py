@@ -7,7 +7,7 @@ import pytest
 from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
-from hopfsl2.extfield import ExtScalar, lift
+from hopfsl2.extfield import ExtScalar, base_constant, lift
 from hopfsl2.fusion import (
     CanonLabel,
     FusionVector,
@@ -389,6 +389,30 @@ def test_decompose_makes_one_rref_on_n_squared_rows(monkeypatch):
         fv = decompose(p, mt, mt_g1)
         assert calls == [p.n**2]
         assert fv.total_dim() == mt.dim
+
+
+def test_decompose_product_of_tower_candidates_with_constant_traces():
+    """Two VI candidates of z9 at the thm5.19 point each live in their own
+    tower, so their tensor product lives in neither the factors' tower nor
+    that of the candidates at z9^2.  Every trace of the product is a
+    constant of Q(zeta_M), which lets decompose match it against those
+    candidates: three VI classes, each once, on all 2n*n trace rows."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    (_, c0), (_, c1), _ = candidate_simples(p, z9, p.one, p.one)
+    mt = tensor(p, c0, c1, check=False)
+    fv = decompose(p, mt, z9 * z9)
+    assert sorted(fv.entries.values()) == [1, 1, 1]
+    assert {lab.kind for lab in fv.entries} == {"VI"} and fv.total_dim() == 9
+    assert decompose(p, tensor(p, c1, c0, check=False), z9 * z9) == fv
+    cands = dict(candidate_simples(p, z9 * z9, p.one, p.one))
+    ambient = cands[next(iter(fv.entries))].zero_scalar()
+    expected = [ambient] * (2 * p.n * p.n)
+    for lab, mult in fv.entries.items():
+        rows = trace_vector(p, cands[lab], 2 * p.n)
+        expected = [e + t * mult for e, t in zip(expected, rows)]
+    traces = [lift(base_constant(t), ambient) for t in trace_vector(p, mt, 2 * p.n)]
+    assert [t.key() for t in traces] == [e.key() for e in expected]
 
 
 def _simple_pairs(kind):

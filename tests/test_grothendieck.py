@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from hopfsl2.grothendieck import (
     gr_pow,
     one,
     radford_context,
+    run_suite,
     verify_relation,
     z_class,
 )
@@ -171,6 +174,16 @@ def test_gelaki_orders_and_xstar():
     for rep in ctx.verify_orders():
         assert rep.ok or all(not r.applicable for r in rep.readings)
     assert ctx.verify_xstar_power().ok
+
+
+def test_run_suite_cor_gelaki_gives_the_golden_results():
+    """run_suite at the cor-gelaki golden point returns what the CLI prints."""
+    golden = (Path(__file__).parent / "golden" / "relations_gelaki.txt").read_text()
+    report = json.loads(golden.split("\n", 1)[1])
+    p = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(6,))
+    passed, results = run_suite(p, "cor-gelaki", N=6)
+    assert passed is True
+    assert json.loads(json.dumps(results, default=str)) == report["results"]
 
 
 def test_gelaki_ystar_power():
