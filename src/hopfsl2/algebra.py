@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclo import CycScalar, common_modulus, rational, root_of_unity
+from .cyclo import CycScalar, _power, common_modulus, rational, root_of_unity
 
 if TYPE_CHECKING:
     from .fusion import CharacterBasis, FusionVector
@@ -93,8 +93,16 @@ _GEN_AND_GROUPLIKE = {
 }
 
 
+def _key_text(key) -> str:
+    """A monomial as itself, a pair of monomials as `l (x) r`."""
+    return str(key) if isinstance(key, Monomial) else " (x) ".join(map(str, key))
+
+
 class Element:
-    """Finite linear combination of normal-form monomials (no zero terms)."""
+    """Finite linear combination of normal-form monomials (no zero terms).
+
+    The same class holds elements of H (x) H, keyed by pairs of monomials
+    (TensorElement names it there)."""
 
     __slots__ = ("terms",)
 
@@ -157,9 +165,12 @@ class Element:
     def serialize(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({c.serialize()}) {m}" for m, c in self.sorted_terms())
+        return " + ".join(f"({c.serialize()}) {_key_text(m)}" for m, c in self.sorted_terms())
 
     __repr__ = serialize
+
+
+TensorElement = Element
 
 
 def _accum(d: dict, mono: Monomial, coeff) -> None:
@@ -213,58 +224,6 @@ def parse_element(text: str) -> Element:
     return out
 
 
-class TensorElement:
-    """Finite linear combination of pairs of normal-form monomials (H (x) H)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[Monomial, Monomial], CycScalar] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[key] = coeff
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = TensorElement()
-        out.terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accum(out.terms, key, coeff)
-        return out
-
-    def __sub__(self, other):
-        out = TensorElement()
-        out.terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accum(out.terms, key, -coeff)
-        return out
-
-    def scale(self, s):
-        out = TensorElement()
-        if not s.is_zero():
-            out.terms = {k: s * c for k, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c.serialize()}) {l} (x) {r}"
-            for (l, r), c in sorted(self.terms.items())
-        )
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     results: dict
@@ -286,16 +245,15 @@ Terms = tuple[tuple[Monomial, CycScalar], ...]
 class Caches:
     """The memo tables of one AlgebraParams; they live as long as it does.
 
-    Algebra layer: `qpow` maps k mod n to q^k, `straighten` maps (v, u) to
-    the normal form of y^v x^u, `product` maps (u1, v1, r, u2, v2) to the
-    terms of (x^u1 y^v1) (a^r x^u2 y^v2) with 0 <= r < n, `delta` maps
-    (u, v) to Delta(x^u y^v) and `antipode` maps (u, v) to s(y)^v s(x)^u.
+    Algebra layer: `straighten` maps (v, u) to the normal form of y^v x^u,
+    `product` maps (u1, v1, r, u2, v2) to the terms of
+    (x^u1 y^v1) (a^r x^u2 y^v2) with 0 <= r < n, `delta` maps (u, v) to
+    Delta(x^u y^v) and `antipode` maps (u, v) to s(y)^v s(x)^u.
     Fusion layer: `character_bases` holds the candidate simples and their
     trace rows per central character (fusion.candidate_simples) and `fuse`
     the fuse results per class pair (grothendieck.gr_mul).
     """
 
-    qpow: dict[int, CycScalar] = field(default_factory=dict)
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
     product: dict[tuple[int, int, int, int, int], Terms] = field(default_factory=dict)
     delta: dict[tuple[int, int], TensorElement] = field(default_factory=dict)
@@ -331,6 +289,7 @@ class AlgebraParams:
         self.n1 = n1
         self.M = M
         self.q = root_of_unity(M, M // n)
+        self._qpows = tuple(root_of_unity(M, k * (M // n)) for k in range(n))
         self.beta = tuple(b.embed(M) for b in beta_scalars)
         self.zero = rational(0, M)
         self.one = rational(1, M)
@@ -346,12 +305,7 @@ class AlgebraParams:
     # -- scalars ------------------------------------------------------
 
     def qpow(self, k: int) -> CycScalar:
-        k %= self.n
-        cache = self.caches.qpow
-        out = cache.get(k)
-        if out is None:
-            out = cache[k] = self.q**k
-        return out
+        return self._qpows[k % self.n]
 
     def scalar(self, x) -> CycScalar:
         if isinstance(x, CycScalar):
@@ -502,12 +456,7 @@ class AlgebraParams:
 
     def power(self, e: Element, k: int) -> Element:
         """e^k by repeated squaring; the unit for k <= 0."""
-        out = self.unit()
-        for bit in bin(k)[2:] if k > 0 else "":
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, e)
-        return out
+        return _power(e, k, self.mul) if k > 0 else self.unit()
 
     # -- coalgebra -------------------------------------------------------
 
@@ -862,27 +811,17 @@ class BlockAlgebra:
             yp = qp.mul(y, e).scale(beta3.inv() * omega0 ** (2 * p.n1 * index))
         self.idem = e
         self.g_elem, self.x_elem, self.y_elem = g, xp, yp
-        self.beta1p = self._scalar_multiple(self._pow(qp, xp, n), e)
-        self.beta2p = self._scalar_multiple(self._pow(qp, yp, n), e)
+        self.beta1p = self._scalar_multiple(_power(xp, n, qp.mul), e)
+        self.beta2p = self._scalar_multiple(_power(yp, n, qp.mul), e)
         comm = qp.mul(yp, xp) - qp.mul(xp, yp).scale(p.qpow(-p.n1))
         if comm.is_zero():
             self.cg = p.zero
             self.c0 = p.zero
         else:
             # expect comm = g^(2 n1) + c0 * e  (the normalized-beta3 form)
-            rest = comm - self._pow(qp, g, 2 * p.n1)
+            rest = comm - _power(g, 2 * p.n1, qp.mul)
             self.cg = p.one
             self.c0 = self._scalar_multiple(rest, e)
-
-    @staticmethod
-    def _pow(qp, e, k):
-        """e^k for k >= 1 by repeated squaring."""
-        out = e
-        for bit in bin(k)[3:]:
-            out = qp.mul(out, out)
-            if bit == "1":
-                out = qp.mul(out, e)
-        return out
 
     def _scalar_multiple(self, elem: Element, idem: Element) -> CycScalar:
         """The scalar s with elem = s * idem (exact; raises otherwise)."""
@@ -931,14 +870,7 @@ class BlockAlgebra:
             while cc >= n:
                 coeff = coeff * self.beta2p
                 cc -= n
-            if not coeff.is_zero():
-                key = (a % n, b, cc)
-                cur = out.get(key)
-                s = coeff if cur is None else cur + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            _accum(out, (a % n, b, cc), coeff)
             return
         # y^v x = q^(-v n1) x y^v + u_v (q^(-(v-1) n1) cg g^(2n1) + c0) y^(v-1)
         self._straighten_block(out, a, b1 + 1, v, b2 - 1, c2, coeff * p.qpow(-v * n1))
@@ -971,16 +903,8 @@ class BlockAlgebra:
         raises PreconditionViolated."""
         p = self.p
         n = p.n
-        out = []
-        for i in range(n):
-            f: dict[tuple[int, int, int], CycScalar] = {}
-            inv_n = rational(Fraction(1, n), p.M)
-            for j in range(n):
-                key = (j % n, 0, 0)
-                val = p.qpow(i * j) * inv_n
-                cur = f.get(key)
-                f[key] = val if cur is None else cur + val
-            out.append(f)
+        inv_n = rational(Fraction(1, n), p.M)
+        out = [{(j, 0, 0): p.qpow(i * j) * inv_n for j in range(n)} for i in range(n)]
         total: dict[tuple[int, int, int], CycScalar] = {}
         for f in out:
             for key, val in f.items():

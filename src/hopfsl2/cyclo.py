@@ -14,6 +14,7 @@ divides.  No floating point is used anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -143,6 +144,45 @@ def _trace_weights(m: int) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
+def _power(x, k: int, mul=operator.mul):
+    """x^k for k >= 1 by left-to-right binary powering: a squaring for each
+    bit after the leading one, then a product by x for each set bit."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
+class _ScalarOps:
+    """The operators both scalar types (CycScalar, extfield.ExtScalar) derive
+    from their own _pair, +, neg, *, inv, one and is_zero.  Those primitives
+    stay in each class body, where perfbench/tracer.py wraps them."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return a * b.inv()
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return self.one()
+        return _power(self if k > 0 else self.inv(), abs(k))
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
 def _scalar(m: int, num: tuple[int, ...], den: int) -> "CycScalar":
     """Trusted constructor for results computed in this module: num holds
     phi(m) ints and den > 0.  Divides out gcd(num, den), nothing else."""
@@ -167,7 +207,7 @@ def _rational(m: int, p: int, q: int) -> "CycScalar":
     return out
 
 
-class CycScalar:
+class CycScalar(_ScalarOps):
     """An exact element of Q(zeta_m): integer numerators ``num`` in the basis
     1, zeta_m, ..., zeta_m^(phi(m)-1) over the common denominator ``den``,
     with den > 0 and gcd(num, den) = 1."""
@@ -225,7 +265,7 @@ class CycScalar:
                 return self, _rational(self.m, other.num[0], other.den)
             if self.m == 1:
                 return _rational(other.m, self.num[0], self.den), other
-            m = self.m * other.m // math.gcd(self.m, other.m)
+            m = math.lcm(self.m, other.m)
             return self.embed(m), other.embed(m)
         if isinstance(other, (int, Fraction)):
             return self, _rational(self.m, other.numerator, other.denominator)
@@ -256,9 +296,6 @@ class CycScalar:
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
         return _scalar(a.m, tuple([x * fa - y * fb for x, y in zip(a.num, b.num)]), den)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return _scalar(self.m, tuple([-x for x in self.num]), self.den)
@@ -347,28 +384,6 @@ class CycScalar:
             return _scalar(m, tuple([-den * row[phi] for row in a]), -prev)
         return _scalar(m, tuple([den * row[phi] for row in a]), prev)
 
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a * b.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, k: int) -> "CycScalar":
-        if k == 0:
-            return self.one()
-        base = self if k > 0 else self.inv()
-        k = abs(k)
-        out = None
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -381,9 +396,6 @@ class CycScalar:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, CycScalar):
@@ -466,10 +478,7 @@ def rational(x, m: int = 1) -> CycScalar:
 
 
 def common_modulus(*orders: int) -> int:
-    out = 1
-    for o in orders:
-        out = out * o // math.gcd(out, o)
-    return out
+    return math.lcm(*orders)
 
 
 def nth_root_of_unity_multiple(x: CycScalar, d: int):

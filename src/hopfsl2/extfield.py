@@ -7,7 +7,8 @@ existing scalar field, nested as needed, so that module construction and
 trace decomposition stay exact.
 
 Scalars follow the same small protocol as CycScalar: +, -, *, neg, inv,
-is_zero, zero, one, key.
+is_zero, zero, one, key.  The derived operators (reflected -, /, ** and
+truth) are shared with CycScalar through their common base in cyclo.
 
 The field rule.  Character data (g1, gamma2, gamma3, mu, q, beta) lies in
 Q(zeta_M) and enters through AlgebraParams.scalar; a tower comes in only
@@ -24,6 +25,7 @@ from .cyclo import (
     CycScalar,
     DivisionByZero,
     _rational_nth_root,
+    _ScalarOps,
     nth_root_of_unity_multiple,
     root_of_unity,
 )
@@ -83,7 +85,7 @@ class Tower:
         return ExtScalar(self, (z, z.one()) + (z,) * (self.degree - 2))
 
 
-class ExtScalar:
+class ExtScalar(_ScalarOps):
     __slots__ = ("tower", "c")
 
     def __init__(self, tower: Tower, coeffs):
@@ -115,9 +117,6 @@ class ExtScalar:
     def __sub__(self, other):
         a, b = self._pair(other)
         return ExtScalar(a.tower, tuple(x - y for x, y in zip(a.c, b.c)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return ExtScalar(self.tower, tuple(-x for x in self.c))
@@ -187,26 +186,6 @@ class ExtScalar:
                 raise ArithmeticError("xgcd cofactor degree overflow")
         return ExtScalar(self.tower, out)
 
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return self.one()
-        base = self if k > 0 else self.inv()
-        k = abs(k)
-        out = None
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self):
         return all(x.is_zero() for x in self.c)
 
@@ -218,9 +197,6 @@ class ExtScalar:
             raise ValueError("not a base-field constant")
         return self.c[0]
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
         try:
             a, b = self._pair(other)
@@ -229,6 +205,9 @@ class ExtScalar:
         return all((x - y).is_zero() for x, y in zip(a.c, b.c))
 
     def __hash__(self):
+        # a constant equals its base value, so it hashes as that value does
+        if self.is_constant():
+            return hash(self.c[0])
         return hash(self.key())
 
     def key(self):
@@ -416,9 +395,7 @@ def split_roots(coeffs):
         monic = [c * lead.inv() for c in work]
         if isinstance(monic[0], CycScalar):
             # uniformize moduli so the tower base is a single cyclotomic field
-            mm = 1
-            for c in list(monic) + [r for r in roots if isinstance(r, CycScalar)]:
-                mm = mm * c.m // math.gcd(mm, c.m)
+            mm = math.lcm(*(c.m for c in monic), *(r.m for r in roots if isinstance(r, CycScalar)))
             monic = [c.embed(mm) for c in monic]
             roots = [r.embed(mm) if isinstance(r, CycScalar) else r for r in roots]
         tower = Tower.make(tuple(monic))

@@ -155,7 +155,10 @@ class FusionVector:
 
 def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -> ModuleRep:
     """Module structure on m1 (x) m2 through the coproduct."""
-    zero = field_zero(p.zero, m1.zero_scalar(), m2.zero_scalar())
+    try:
+        zero = field_zero(p.zero, m1.zero_scalar(), m2.zero_scalar())
+    except TypeError:
+        raise RankDeficient("factors live over incompatible towers") from None
     mats1 = {g: [[lift(x, zero) for x in row] for row in m1.mat(g)] for g in "abcxy"}
     mats2 = {g: [[lift(x, zero) for x in row] for row in m2.mat(g)] for g in "abcxy"}
     a2n1 = mat_pow(mats2["a"], p.n1)

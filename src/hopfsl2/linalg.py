@@ -8,6 +8,8 @@ dimension <= n, tensor products <= n^2), so no sparsity machinery is used.
 
 from __future__ import annotations
 
+from .cyclo import _power
+
 __all__ = [
     "mat_mul",
     "mat_add",
@@ -69,16 +71,10 @@ def mat_scale(s, a):
 
 
 def mat_pow(a, k: int):
-    if k < 0:
-        return mat_pow(mat_inv(a), -k)
-    out = identity(a[0][0].one(), len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
+    """a^k (a itself for k = 1, the inverse's powers for k < 0)."""
+    if k == 0:
+        return identity(a[0][0].one(), len(a))
+    return _power(a if k > 0 else mat_inv(a), abs(k), mat_mul)
 
 
 def mat_eq(a, b) -> bool:

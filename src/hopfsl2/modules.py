@@ -17,6 +17,8 @@ cyclotomic field; such a module's matrices are lifted once into its tower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, product
 from typing import Optional
 
 from .algebra import AlgebraParams
@@ -31,6 +33,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     nullspace,
+    rank,
     solve,
     transpose,
     zeros,
@@ -534,26 +537,30 @@ def intertwiner_space(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep):
 
 
 def modules_isomorphic(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep) -> bool:
-    """Existence of an invertible intertwiner (checked on the Hom basis)."""
-    if m1.dim != m2.dim:
+    """Existence of an invertible intertwiner, decided exactly.
+
+    For a basis T_1..T_h of Hom(m1, m2), det(sum_i c_i T_i) has degree at
+    most rank(T_i) in c_i, so if it is nonzero anywhere it is nonzero at
+    some point of the grid prod_i {0, ..., rank(T_i)}.  The grid is searched
+    by increasing support, skipping a support whose ranks sum to less than
+    the dimension; False is returned only after the whole grid.  An
+    isomorphism T makes Hom(m1, m2) = T End(m1), so a Hom space of another
+    dimension than End(m1) answers False without the search."""
+    d = m1.dim
+    if d != m2.dim:
         return False
     homs = intertwiner_space(p, m1, m2)
-    if not homs:
+    if len(homs) != len(intertwiner_space(p, m1, m1)):
         return False
-    for T in homs:
-        try:
-            mat_inv(T)
-            return True
-        except ArithmeticError:
-            continue
-    acc = None
-    for T in homs:
-        acc = T if acc is None else mat_add(acc, T)
-        try:
-            mat_inv(acc)
-            return True
-        except ArithmeticError:
-            continue
+    ranks = [rank(T) for T in homs]
+    for size in range(1, len(homs) + 1):
+        for support in combinations(range(len(homs)), size):
+            if sum(ranks[i] for i in support) < d:
+                continue
+            for coeffs in product(*(range(1, ranks[i] + 1) for i in support)):
+                acc = reduce(mat_add, [mat_scale(c, homs[i]) for i, c in zip(support, coeffs)])
+                if rank(acc) == d:
+                    return True
     return False
 
 
@@ -630,7 +637,7 @@ def build_extension_prop46(
     """
     if enforce_hypothesis and not prop46_hypothesis(p, i):
         raise ParameterConstraint("hypothesis q^(i/(n n1)+1+i) = 1 fails (needs q^i = 1)")
-    n, n1 = p.n, p.n1
+    n = p.n
     zero, one = p.zero, p.one
     varsigma = p.scalar(varsigma)
     d = n + 1
@@ -645,11 +652,11 @@ def build_extension_prop46(
     x[1][n] = p.beta[0] * (p.qpow(i) - one)
     y = zeros(zero, d, d)
     y[0][1] = varsigma
-    kappa = zero
+    # (yx - q^-n1 xy) v_l = beta3 (q^(-2 l n1) - 1) v_l fixes y v_(l+1) = k_(l+1) v_l:
+    # the V_r chain at mu = gamma2 = gamma3 = 1
+    ks = _vr_k_coeffs(p, one, one, one, n)
     for l in range(1, n):
-        # (yx - q^-n1 xy) v_l = beta3 (q^(-2 l n1) - 1) v_l fixes kappa_(l+1)
-        kappa = p.qpow(-n1) * kappa + p.beta[2] * (p.qpow(-2 * l * n1) - one)
-        y[l][l + 1] = kappa
+        y[l][l + 1] = ks[l]
     total = ModuleRep(d, {"a": a, "b": b, "c": c, "x": x, "y": y}, ("prop46", i), p)
     sub = build_V0(p, p.one, p.one, p.one, 0)
     qmats = {g: [[M[r][cc] for cc in range(1, d)] for r in range(1, d)] for g, M in total.mats.items()}

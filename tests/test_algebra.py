@@ -228,6 +228,27 @@ def test_power_by_squaring_matches_repeated_product(p311):
         assert p311.power(e, k) == p311.mul_many(*[e] * k)
 
 
+def test_power_matches_repeated_product_and_unit_below_one():
+    p = AlgebraParams(4, 1, beta=(1, 1, 1))
+    e = p.random_element(random.Random(11)) + p.gen("x")
+    for k in range(-2, 7):
+        expected = p.unit()
+        for _ in range(k):
+            expected = p.mul(expected, e)
+        assert p.power(e, k) == expected, k
+
+
+def test_coproduct_repr_is_pinned(p311):
+    """The text of a coproduct, as the separate H (x) H class printed it."""
+    x, y = p311.gen("x"), p311.gen("y")
+    assert repr(p311.coproduct(x)) == "(cyc(6; 1, 0)) x (x) a + (cyc(6; 1, 0)) b (x) x"
+    assert repr(p311.coproduct(p311.mul(x, y))) == (
+        "(cyc(6; 1, 0)) x*y (x) a^2 + (cyc(6; 1, 0)) c*x (x) a*y"
+        " + (cyc(6; -1, 1)) b*y (x) a*x + (cyc(6; 1, 0)) b*c (x) x*y"
+    )
+    assert repr(p311.coproduct(x) - p311.coproduct(x)) == "0"
+
+
 def test_every_table_lives_in_caches():
     p = AlgebraParams(3, 1, beta=(1, 1, 1))
     p.check_hopf_axioms(n_random=2, seed=0)

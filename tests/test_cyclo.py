@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import CyclicOracle
 
+from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import (
     CycScalar,
     DivisionByZero,
@@ -16,6 +17,8 @@ from hopfsl2.cyclo import (
     rational,
     root_of_unity,
 )
+from hopfsl2.extfield import ExtScalar
+from hopfsl2.modules import solve_k_seed
 
 
 def test_cyclotomic_polynomials():
@@ -138,6 +141,47 @@ def test_hash_agrees_with_equality_across_moduli():
         x = CycScalar(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(m))])
         for k in (2, 3, 4):
             assert hash(x.embed(k * m)) == hash(x)
+
+
+def _thm519_tower_seed():
+    """A VI k-seed of z9 at the thm5.19 point: it lives in a quadratic tower
+    over a cubic tower over Q(zeta_36)."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seed = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0, allow_extension=True)[-1]
+    assert isinstance(seed.tower.base_zero(), ExtScalar)
+    return p, seed
+
+
+def test_tower_constants_hash_as_their_base_values():
+    p, seed = _thm519_tower_seed()
+    top = seed.tower
+    low = top.base_zero().tower
+    for x in (p.q, p.sqrt_q, rational(Fraction(-2, 3), p.M)):
+        for lifted in (top.lift(x), low.lift(x)):
+            assert lifted == x and hash(lifted) == hash(x)
+            assert len({lifted, x}) == 1
+    assert hash(top.lift(3)) == hash(3) == hash(low.lift(3))
+    # a non-constant of the cubic level, lifted as a constant of the quadratic one
+    g = low.gen() + p.q
+    assert top.lift(g) == g and hash(top.lift(g)) == hash(g)
+    assert hash(seed * 1) == hash(seed)
+
+
+def _repeated_power(x, k):
+    out = x.one()
+    for _ in range(abs(k)):
+        out = out * (x if k > 0 else x.inv())
+    return out
+
+
+def test_pow_matches_repeated_product_and_inverse():
+    x = CycScalar(12, [Fraction(1, 2), 0, -3, Fraction(2, 5)])
+    for k in range(-4, 10):
+        assert (x**k).key() == _repeated_power(x, k).key()
+    _p, seed = _thm519_tower_seed()
+    y = seed + seed.tower.gen() * 2 - 1
+    for k in range(-4, 10):
+        assert (y**k).key() == _repeated_power(y, k).key()
 
 
 def test_key_is_modulus_and_fraction_coefficients():

@@ -415,6 +415,21 @@ def test_decompose_product_of_tower_candidates_with_constant_traces():
     assert [t.key() for t in traces] == [e.key() for e in expected]
 
 
+def test_tensor_of_factors_over_incompatible_towers_raises_rank_deficient():
+    """A VI candidate of z9 and one of z9^2 at the thm5.19 point each live in
+    their own tower; no field holds both."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+
+    def tower_candidate(g1):
+        return next(m for _, m in candidate_simples(p, g1, 1, 1) if isinstance(m.zero_scalar(), ExtScalar))
+
+    m1, m2 = tower_candidate(z9), tower_candidate(z9**2)
+    assert m1.zero_scalar().tower is not m2.zero_scalar().tower
+    with pytest.raises(RankDeficient, match="factors live over incompatible towers"):
+        tensor(p, m1, m2)
+
+
 def _simple_pairs(kind):
     """(hypothesis, strategy of (p, l1, l2)) for n <= 4: z_r x z_s at
     beta = (0,0,1) (kind "z"), V0 pairs at beta = (0,0,0) and VI pairs with

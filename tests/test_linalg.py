@@ -15,13 +15,15 @@ from hopfsl2.extfield import (
     poly_eval,
     split_roots,
 )
-from hopfsl2.modules import solve_k_seed
+from hopfsl2.modules import build_VI, solve_k_seed
 from hopfsl2.linalg import (
     identity,
     kron,
     mat_eq,
+    mat_add,
     mat_inv,
     mat_mul,
+    mat_pow,
     nullspace,
     rank,
     solve,
@@ -47,6 +49,23 @@ def test_inverse_and_identity():
             continue
         done += 1
         assert mat_eq(mat_mul(a, inv), identity(a[0][0].one(), 3))
+
+
+def test_mat_pow_matches_repeated_product_and_inverse():
+    """x + y of a V_I module over Q(zeta_18) and of one over the thm5.19
+    tower, raised to k in -2..6."""
+    z9 = root_of_unity(9, 1)
+    p1 = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(9,))
+    p3 = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seed = solve_k_seed(p3, "VI", z9, 1, 1, 0, allow_extension=True)[-1]
+    for m in (build_VI(p1, z9, 1, 1, 0, p1.zero), build_VI(p3, z9, 1, 1, 0, seed)):
+        a = mat_add(m.mat("x"), m.mat("y"))
+        one = identity(m.one_scalar(), m.dim)
+        for k in range(-2, 7):
+            expected = one
+            for _ in range(abs(k)):
+                expected = mat_mul(expected, a if k > 0 else mat_inv(a))
+            assert mat_eq(mat_pow(a, k), expected), k
 
 
 def test_nullspace_exact():

@@ -226,6 +226,24 @@ def test_prop46_extension():
         build_extension_prop46(p, 1, i=1, enforce_hypothesis=True)
 
 
+def test_isomorphism_with_repeated_summands():
+    """V0 (+) V0 (+) V0: every Hom basis map and every prefix sum of the
+    basis is singular, but the module is isomorphic to itself and splits."""
+    p = AlgebraParams(3, 1)
+    v0 = build_V0(p, p.one, p.one, p.one, 0)
+    v00 = direct_sum_extension(p, v0, v0).total
+    m = direct_sum_extension(p, v0, v00).total
+    assert len(intertwiner_space(p, m, m)) == 9
+    assert modules_isomorphic(p, m, m)
+    assert is_split_triple(p, m, v0, v00) and is_split_triple(p, m, v00, v0)
+    vq = build_V0(p, p.q, p.one, p.one, 0)
+    assert not modules_isomorphic(p, m, direct_sum_extension(p, v00, vq).total)
+    # 20 Hom maps against 25 endomorphisms: answered without the 2^20-point grid
+    v04 = direct_sum_extension(p, v00, v00).total
+    v05 = direct_sum_extension(p, v04, v0).total
+    assert not modules_isomorphic(p, v05, direct_sum_extension(p, v04, vq).total)
+
+
 def test_prop47_extension():
     p = AlgebraParams(4, 2, beta=(0, 0, 1), extra_orders=(8,))
     z8 = root_of_unity(8, 1)
