@@ -39,7 +39,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .cyclo import CycScalar, _power, common_modulus, rational, root_of_unity
 
 if TYPE_CHECKING:
-    from .fusion import CharacterBasis, FusionVector
+    from .fusion import CanonLabel, CharacterBasis, FusionVector
+    from .modules import ModuleRep
 
 __all__ = [
     "Monomial",
@@ -249,15 +250,21 @@ class Caches:
     `product` maps (u1, v1, r, u2, v2) to the terms of
     (x^u1 y^v1) (a^r x^u2 y^v2) with 0 <= r < n, `delta` maps (u, v) to
     Delta(x^u y^v) and `antipode` maps (u, v) to s(y)^v s(x)^u.
-    Fusion layer: `character_bases` holds the candidate simples and their
-    trace rows per central character (fusion.candidate_simples) and `fuse`
-    the fuse results per class pair (grothendieck.gr_mul).
+    Module layer: `modules` maps modules.simple_key to the module that
+    build_simple built, and `classes` maps it to that module's CanonLabel
+    (grothendieck.cls).
+    Fusion layer: `character_bases` holds, per central character, the
+    candidate simples, their trace rows and the factorization of those rows
+    that decompose replays (fusion.candidate_simples), and `fuse` the fuse
+    results per class pair (grothendieck.gr_mul).
     """
 
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
     product: dict[tuple[int, int, int, int, int], Terms] = field(default_factory=dict)
     delta: dict[tuple[int, int], TensorElement] = field(default_factory=dict)
     antipode: dict[tuple[int, int], Element] = field(default_factory=dict)
+    modules: dict[tuple, ModuleRep] = field(default_factory=dict)
+    classes: dict[tuple, CanonLabel] = field(default_factory=dict)
     character_bases: dict[tuple, CharacterBasis] = field(default_factory=dict)
     fuse: dict[tuple, FusionVector] = field(default_factory=dict)
 

@@ -13,12 +13,16 @@ principle: trace functions determine composition factors).
   their trace rows are computed once and kept in a CharacterBasis owned by
   the AlgebraParams; the traces at j < 2n also give each candidate's
   fingerprint.
-* One elimination on n^2 rows.  a^n acts as the scalar gamma1 on m and on
-  every candidate, so tr(a^(j+n) x^u y^u) = gamma1 tr(a^j x^u y^u) and the
-  rows j < n span every trace row.  decompose row-reduces [candidate traces
-  | traces of m] on those n^2 rows once: every candidate column must hold a
-  pivot (else RankDeficient), the traces of m must not (else
-  NoIntegerSolution), and the solution must be a nonnegative integer vector
+* One factorization per character, replayed on every module.  a^n acts as
+  the scalar gamma1 on m and on every candidate, so tr(a^(j+n) x^u y^u) =
+  gamma1 tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
+  decompose against a character row-reduces the n^2 x ncand block of
+  candidate traces once and keeps its row operations in the CharacterBasis;
+  every decompose replays them on the n^2 traces of m.  Every candidate
+  column must hold a pivot (else RankDeficient, recorded with the
+  factorization), the replayed traces below the first ncand must all be
+  zero (else NoIntegerSolution: the verdict rref([C | v]) gives), and the
+  first ncand, the multiplicities, must be a nonnegative integer vector
   matching the dimension.
 """
 
@@ -31,7 +35,7 @@ from .algebra import AlgebraParams
 from .extfield import base_constant, field_zero, lift
 # rank is not used here: perfbench/test_bench.py checks that its tracer wraps
 # this from-import binding, so it stays until that check names another one
-from .linalg import identity, kron, mat_add, mat_mul, mat_pow, rank, rref, trace  # noqa: F401
+from .linalg import PivotStep, factor, identity, kron, mat_add, mat_mul, mat_pow, rank, replay, trace  # noqa: F401
 from .modules import (
     FieldTooSmall,
     ModuleRep,
@@ -52,6 +56,7 @@ __all__ = [
     "NoIntegerSolution",
     "CanonLabel",
     "CharacterBasis",
+    "Factorization",
     "FusionVector",
     "tensor",
     "candidate_simples",
@@ -259,19 +264,46 @@ def _dense_traces(p: AlgebraParams, m: ModuleRep, jmax: int):
     return out
 
 
-@dataclass
-class CharacterBasis:
-    """The simples of one central character and their trace rows.
+@dataclass(frozen=True)
+class Factorization:
+    """The one elimination of a character's n^2 x ncand candidate block.
 
-    `cands` is the list of (CanonLabel, ModuleRep) that candidate_simples
-    returns; `rows` maps each label to the n^2 traces of its module at j < n,
-    trace_vector(p, module, n), the only rows decompose eliminates on.  The
-    label's fingerprint holds the keys of the traces at j < 2n.  One basis per
-    character is kept in `p.caches.character_bases`, so it lives as long as p.
+    `zero` is the zero of the candidates' field, `steps` the row operations
+    (linalg.PivotStep) of the elimination over that field, and `independent`
+    whether every candidate column holds a pivot.
     """
 
-    cands: list
-    rows: dict
+    zero: object
+    steps: tuple
+    independent: bool
+
+
+class CharacterBasis(list):
+    """The simples of one central character, their trace rows and the
+    factorization of those rows.
+
+    The list itself holds the (CanonLabel, ModuleRep) pairs that
+    candidate_simples returns; `rows` maps each label to the n^2 traces of
+    its module at j < n, trace_vector(p, module, n), the only rows decompose
+    works on.  The label's fingerprint holds the keys of the traces at
+    j < 2n.  `factorization` is None until the first decompose against the
+    character fills it.  One basis per character is kept in
+    `p.caches.character_bases`, so it lives as long as p.
+    """
+
+    def __init__(self, cands, rows: dict):
+        super().__init__(cands)
+        self.rows = rows
+        self.factorization: Factorization | None = None
+
+    def factorize(self, p: AlgebraParams) -> Factorization:
+        """The factorization of the candidate block, made on the first call."""
+        if self.factorization is None:
+            zero = field_zero(p.zero, *(cm.zero_scalar() for _, cm in self))
+            cols = [[lift(t, zero) for t in self.rows[lab]] for lab, _ in self]
+            _red, pivots, steps = factor([[col[w] for col in cols] for w in range(p.n * p.n)])
+            self.factorization = Factorization(zero, tuple(steps), pivots == list(range(len(self))))
+        return self.factorization
 
 
 def _character_basis(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
@@ -312,14 +344,15 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     return basis
 
 
-def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3):
+def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     """All iso-classes of simples with central character (g1^n, gamma2, gamma3).
 
-    Returns a list of (CanonLabel, ModuleRep), deduplicated by exact trace
-    fingerprint.  VI/VII k-seeds are solved exactly; when no cyclotomic seed
-    exists, the seed polynomial is split over an extension tower.
+    Returns the cached CharacterBasis, a list of (CanonLabel, ModuleRep)
+    deduplicated by exact trace fingerprint.  VI/VII k-seeds are solved
+    exactly; when no cyclotomic seed exists, the seed polynomial is split
+    over an extension tower.
     """
-    return _character_basis(p, g1, gamma2, gamma3).cands
+    return _character_basis(p, g1, gamma2, gamma3)
 
 
 def _sorted_seeds(seeds):
@@ -349,8 +382,9 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
 
     Preconditions: b, c and a^n act as scalars on m; g1 is an n-th root of
     the a^n scalar (used to enumerate candidate simples).  Since a^n acts as
-    that scalar on m and on every candidate, one elimination on the n^2
-    trace rows at j < n decides rank, consistency and the multiplicities.
+    that scalar on m and on every candidate, the n^2 trace rows at j < n
+    decide rank, consistency and the multiplicities: the character's
+    factorization of its candidate block, made once, is replayed on them.
     """
     zero = m.zero_scalar()
     B, C = m.mat("b"), m.mat("c")
@@ -377,32 +411,38 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     if not (lift(g1n, zero) ** p.n - gamma1).is_zero():
         raise WrongType("g1^n does not match the a^n scalar")
     cands = candidate_simples(p, g1n, g2c, g3c)
-    basis = _character_basis(p, g1n, g2c, g3c)
+    if not isinstance(cands, CharacterBasis):
+        # a caller that substitutes its own candidate list: its rows are
+        # traced and its block factored for this call only
+        cands = CharacterBasis(cands, {lab: trace_vector(p, cm, p.n) for lab, cm in cands})
+    plan = cands.factorize(p)
     # ambient field: the one tower among m and the candidates, or the
     # candidates' when every trace of m is a constant of Q(zeta_M)
     traces = trace_vector(p, m, p.n)
-    cand_zeros = [cm.zero_scalar() for _, cm in cands]
     try:
-        ambient = field_zero(zero, *cand_zeros)
+        ambient = field_zero(zero, plan.zero)
     except TypeError:
         try:
             traces = [base_constant(t) for t in traces]
         except ValueError:
             raise RankDeficient("candidates live over incompatible towers") from None
-        ambient = field_zero(p.zero, *cand_zeros)
+        ambient = plan.zero
     ncand = len(cands)
-    cols = [[lift(t, ambient) for t in basis.rows[lab]] for lab, _ in cands]
-    v = [lift(t, ambient) for t in traces]
-    # one elimination of [candidate traces | traces of m], one equation per
-    # trace: the candidates are independent iff each of the first ncand
-    # columns holds a pivot, and the system is inconsistent iff column ncand
-    # holds one
-    red, pivots = rref([[col[w] for col in cols] + [v[w]] for w in range(len(v))])
-    if pivots[:ncand] != list(range(ncand)):
+    if not plan.independent:
         raise RankDeficient(f"candidate trace vectors are linearly dependent (rank < {ncand})")
-    if ncand in pivots:
+    steps = plan.steps
+    if lift(plan.zero, ambient) is not plan.zero:
+        # m lives over a larger field than the candidates: lift the plan there
+        steps = [
+            PivotStep(s.row, s.swap, lift(s.scale, ambient), tuple((i, lift(f, ambient)) for i, f in s.eliminate))
+            for s in steps
+        ]
+    # the candidates are independent, so [candidate traces | traces of m]
+    # is consistent iff every replayed trace past the first ncand is zero
+    w = replay(steps, [lift(t, ambient) for t in traces])
+    if any(not x.is_zero() for x in w[ncand:]):
         raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
-    sol = [red[c][ncand] for c in range(ncand)]
+    sol = w[:ncand]
     mults = []
     for x in sol:
         k = _as_nonneg_int(x)

@@ -35,6 +35,7 @@ from .modules import (
     build_simple,
     kind_conditions,
     r_value,
+    simple_key,
 )
 
 __all__ = [
@@ -64,9 +65,15 @@ class UnboundGenerator(ValueError):
 
 
 def cls(p: AlgebraParams, label: SimpleLabel) -> FusionVector:
-    """The class of a simple module as a ring element."""
-    m = build_simple(p, label)
-    return FusionVector({class_of(p, m): 1})
+    """The class of a simple module as a ring element.
+
+    Its CanonLabel is made once per simple_key and kept in `p.caches.classes`.
+    """
+    key = simple_key(p, label)
+    c = p.caches.classes.get(key)
+    if c is None:
+        c = p.caches.classes[key] = class_of(p, build_simple(p, label))
+    return FusionVector({c: 1})
 
 
 def _fuse_cached(p: AlgebraParams, l1: CanonLabel, l2: CanonLabel) -> FusionVector:

@@ -8,6 +8,8 @@ dimension <= n, tensor products <= n^2), so no sparsity machinery is used.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .cyclo import _power
 
 __all__ = [
@@ -24,6 +26,9 @@ __all__ = [
     "transpose",
     "mat_inv",
     "trace",
+    "PivotStep",
+    "factor",
+    "replay",
     "rref",
     "rank",
     "nullspace",
@@ -115,12 +120,29 @@ def trace(a):
     return acc
 
 
-def rref(a):
-    """Reduced row echelon form (in place on a copy); returns (rref, pivots)."""
+class PivotStep(NamedTuple):
+    """One pivot of an elimination as row operations: swap rows `row` and
+    `swap`, scale row `row` by `scale`, then subtract f times row `row` from
+    row i for each (i, f) in `eliminate`."""
+
+    row: int
+    swap: int
+    scale: object
+    eliminate: tuple
+
+
+def factor(a):
+    """rref(a) and the row operations that produced it: (rref, pivots, steps).
+
+    replay(steps, v) applies the same operations to a column v.  Next to the
+    pivot columns of a, that is the last column of rref([a | v]), and [a | v]
+    is consistent iff the replayed entries below the rank are all zero.
+    """
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
+    steps = []
     r = 0
     for c in range(cols):
         pivot = None
@@ -133,15 +155,36 @@ def rref(a):
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c].inv()
         m[r] = [inv * x for x in m[r]]
+        eliminate = []
         for i in range(rows):
             if i != r and not m[i][c].is_zero():
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                eliminate.append((i, f))
+        steps.append(PivotStep(r, pivot, inv, tuple(eliminate)))
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return m, pivots, steps
+
+
+def replay(steps, v):
+    """The column v after the row operations `steps` recorded by factor."""
+    v = list(v)
+    for row, swap, scale, eliminate in steps:
+        v[row], v[swap] = v[swap], v[row]
+        x = v[row] = scale * v[row]
+        if not x.is_zero():
+            for i, f in eliminate:
+                v[i] = v[i] - f * x
+    return v
+
+
+def rref(a):
+    """Reduced row echelon form (in place on a copy); returns (rref, pivots)."""
+    red, pivots, _steps = factor(a)
+    return red, pivots
 
 
 def rank(a) -> int:

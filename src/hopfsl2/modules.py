@@ -17,6 +17,7 @@ cyclotomic field; such a module's matrices are lifted once into its tower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from typing import Optional
@@ -55,6 +56,7 @@ __all__ = [
     "build_VI",
     "build_VII",
     "build_simple",
+    "simple_key",
     "solve_k_seed",
     "verify_module",
     "is_simple",
@@ -328,23 +330,48 @@ def build_VII(p: AlgebraParams, g1, gamma2, gamma3, i: int, kn) -> ModuleRep:
     return _build_cyclic(p, "VII", g1, gamma2, gamma3, i, kn)
 
 
+def simple_key(p: AlgebraParams, label: SimpleLabel) -> tuple:
+    """The key of label in `p.caches.modules` and `p.caches.classes`.
+
+    Labels with equal keys build modules whose labels print alike.
+    SimpleLabel equality is not enough for that: a k-seed that is a tower
+    constant equals its Q(zeta_M) value, and a cyclotomic k-seed equals its
+    image at another modulus, yet each prints as given.  So the key holds
+    the character data as read through p.scalar (which the builders print),
+    i mod n, r, and the k-seed's own key.  Raises WrongType for an unknown
+    kind and for a VI/VII label without a k-seed.
+    """
+    if label.kind not in ("V0", "Vr", "VI", "VII"):
+        raise WrongType(f"unknown kind {label.kind!r}")
+    if label.kind in ("VI", "VII") and label.kseed is None:
+        raise WrongType(f"{label.kind} label needs a k-seed (use solve_k_seed)")
+    kseed = label.kseed
+    if kseed is not None:
+        kseed = kseed.key() if hasattr(kseed, "key") else Fraction(kseed)
+    g1, gamma2, gamma3 = (p.scalar(x).key() for x in (label.g1, label.gamma2, label.gamma3))
+    return (label.kind, g1, gamma2, gamma3, label.i % p.n, label.r, kseed)
+
+
 def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
+    """The simple module that label names, built once per simple_key and kept
+    in `p.caches.modules`, so equal keys share one ModuleRep (callers do not
+    change it); a label that names no module raises on every call."""
+    key = simple_key(p, label)
+    m = p.caches.modules.get(key)
+    if m is not None:
+        return m
     if label.kind == "V0":
-        return build_V0(p, label.g1, label.gamma2, label.gamma3, label.i)
-    if label.kind == "Vr":
+        m = build_V0(p, label.g1, label.gamma2, label.gamma3, label.i)
+    elif label.kind == "Vr":
         m = build_Vr(p, label.g1, label.gamma2, label.gamma3, label.i)
         if label.r is not None and m.label.r != label.r:
             raise WrongType(f"label says r = {label.r} but the parameters force r = {m.label.r}")
-        return m
-    if label.kind == "VI":
-        if label.kseed is None:
-            raise WrongType("VI label needs a k-seed (use solve_k_seed)")
-        return build_VI(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
-    if label.kind == "VII":
-        if label.kseed is None:
-            raise WrongType("VII label needs a k-seed (use solve_k_seed)")
-        return build_VII(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
-    raise WrongType(f"unknown kind {label.kind!r}")
+    elif label.kind == "VI":
+        m = build_VI(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
+    else:
+        m = build_VII(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
+    p.caches.modules[key] = m
+    return m
 
 
 # -- k-seed solving --------------------------------------------------------

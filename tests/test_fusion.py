@@ -7,7 +7,8 @@ import pytest
 from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
-from hopfsl2.extfield import ExtScalar, base_constant, lift
+from hopfsl2.cyclo import rational
+from hopfsl2.extfield import ExtScalar, Tower, base_constant, lift
 from hopfsl2.fusion import (
     CanonLabel,
     FusionVector,
@@ -22,11 +23,12 @@ from hopfsl2.fusion import (
     tensor,
     trace_vector,
 )
-from hopfsl2.grothendieck import canonical_zr_label
-from hopfsl2.linalg import mat_inv, mat_mul, rref
+from hopfsl2.grothendieck import canonical_zr_label, cls, default_suite_instances, verify_relation
+from hopfsl2.linalg import mat_inv, mat_mul
 from hopfsl2.modules import (
     ModuleRep,
     SimpleLabel,
+    WrongType,
     build_simple,
     build_V0,
     build_VI,
@@ -304,6 +306,49 @@ def test_decompose_raises_no_integer_solution_on_missing_candidate(monkeypatch):
         fuse(p, z3_label(p), z3_label(p))
 
 
+def test_decompose_errors_hold_on_a_second_decompose_of_the_character(monkeypatch):
+    """The factorization recorded by a first decompose belongs to the cached
+    candidates: a duplicated or a missing candidate still raises its error,
+    with the same message, on every later decompose of the character."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    expected = fuse(p, z3_label(p), z3_label(p))
+    summand = next(iter(expected.entries))
+    listed = fusion.candidate_simples
+    patches = [
+        (lambda *a, **kw: listed(*a, **kw) + listed(*a, **kw)[:1], RankDeficient, "linearly dependent"),
+        (lambda *a, **kw: [c for c in listed(*a, **kw) if c[0] != summand], NoIntegerSolution, "inconsistent"),
+    ]
+    for patched, error, message in patches:
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "candidate_simples", patched)
+            for _ in range(2):
+                with pytest.raises(error, match=message):
+                    fuse(p, z3_label(p), z3_label(p))
+        assert fuse(p, z3_label(p), z3_label(p)) == expected
+
+
+def test_x_times_y_decomposes_match_the_reference_at_the_thm519_point(monkeypatch):
+    """Every decompose of the thm5.19 x_times_y relation, whose candidates
+    live over a nested tower, equals the full trace system of the oracle."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    (bindings,) = [b for rid, b in default_suite_instances(p, "thm5.19") if rid == "x_times_y"]
+    seen = []
+    real = fusion.decompose
+
+    def spy(p, m, g1):
+        fv = real(p, m, g1)
+        seen.append((m, g1, fv))
+        return fv
+
+    monkeypatch.setattr(fusion, "decompose", spy)
+    assert verify_relation(p, "x_times_y", **bindings).passed
+    assert len(seen) == 18
+    for m, g1, fv in seen:
+        assert fv == reference_decompose(p, m, g1)
+        gammas = (base_constant(m.mat(g)[0][0]) for g in "bc")
+        assert all(isinstance(cm.zero_scalar(), ExtScalar) for _, cm in candidate_simples(p, g1, *gammas))
+
+
 def test_candidate_simples_die_with_their_params():
     """The trace bases are cached in the AlgebraParams, not in the module:
     dropping the parameters frees the candidate simples."""
@@ -377,18 +422,24 @@ def test_trace_rows_past_n_are_gamma1_times_the_rows_below_n():
 
 
 def test_decompose_makes_one_rref_on_n_squared_rows(monkeypatch):
+    """The first decompose against a character makes its one elimination,
+    on the n^2 rows at j < n; a second decompose replays it and makes none."""
     calls = []
+    factor = fusion.factor
 
     def spy(rows):
         calls.append(len(rows))
-        return rref(rows)
+        return factor(rows)
 
-    monkeypatch.setattr(fusion, "rref", spy)
+    monkeypatch.setattr(fusion, "factor", spy)
     for p, _g1, _cands, mt, mt_g1 in _character_cases():
         calls.clear()
         fv = decompose(p, mt, mt_g1)
         assert calls == [p.n**2]
         assert fv.total_dim() == mt.dim
+        calls.clear()
+        assert decompose(p, mt, mt_g1) == fv
+        assert calls == []
 
 
 def test_decompose_product_of_tower_candidates_with_constant_traces():
@@ -482,3 +533,58 @@ def test_decompose_matches_full_trace_system_property(kind):
         assert fv.total_dim() == m1.dim * m2.dim
 
     check()
+
+
+# -- the module and class caches ----------------------------------------------
+
+
+def _vi_params():
+    return AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(9,))
+
+
+def test_build_simple_hit_prints_as_a_fresh_build():
+    """Five equal labels carry the k-seed 0 as an int, at three moduli and as
+    a tower constant; each builds the module and class a fresh build gives,
+    whichever of them filled the caches first."""
+    z9 = root_of_unity(9, 1)
+    tower = Tower.make((rational(2, 18), rational(0, 18), rational(0, 18), rational(1, 18)))
+    seeds = [0, rational(0, 3), rational(0, 9), rational(0, 18), tower.lift(rational(0, 18))]
+    labels = [SimpleLabel("VI", z9, 1, 1, 0, kseed=s) for s in seeds]
+    assert len(set(labels)) == 1
+
+    def printed(p, label):
+        return str(build_simple(p, label).label), repr(cls(p, label))
+
+    fresh = [printed(_vi_params(), label) for label in labels]
+    assert len(set(fresh)) == 2
+    for first in labels:
+        p = _vi_params()
+        printed(p, first)
+        for _ in range(2):
+            assert [printed(p, label) for label in labels] == fresh
+
+
+def test_vr_label_with_the_wrong_r_raises_on_every_call(pb3):
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    good = z3_label(p)
+    bad = dataclasses.replace(good, r=2)
+    for _ in range(2):
+        assert build_simple(p, good).label.r == 3
+        assert repr(cls(p, good)) == repr(cls(p, dataclasses.replace(good, r=3)))
+        with pytest.raises(WrongType, match="label says r = 2"):
+            build_simple(p, bad)
+        with pytest.raises(WrongType, match="label says r = 2"):
+            cls(p, bad)
+
+
+def test_module_and_class_tables_die_with_their_params():
+    """The built modules and their classes are cached in the AlgebraParams:
+    dropping the parameters frees them."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    module = weakref.ref(build_simple(p, z3_label(p)))
+    (label,) = cls(p, z2_label(p)).entries
+    label = weakref.ref(label)
+    assert module() in p.caches.modules.values() and label() in p.caches.classes.values()
+    del p
+    gc.collect()
+    assert module() is None and label() is None

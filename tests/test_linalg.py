@@ -17,6 +17,7 @@ from hopfsl2.extfield import (
 )
 from hopfsl2.modules import build_VI, solve_k_seed
 from hopfsl2.linalg import (
+    factor,
     identity,
     kron,
     mat_eq,
@@ -26,6 +27,8 @@ from hopfsl2.linalg import (
     mat_pow,
     nullspace,
     rank,
+    replay,
+    rref,
     solve,
 )
 
@@ -162,3 +165,45 @@ def test_field_zero_picks_the_one_tower():
         field_zero(p.zero, t1.gen(), t2.gen())
     with pytest.raises(TypeError):
         field_zero(t1.lift(0), t2.gen())
+
+
+def _replay_cases():
+    """(C, right-hand sides) over Q(zeta_12) and over the nested tower of the
+    VI seeds at g1 = zeta_9, beta = (1, 1, 1): for a C of full column rank and
+    for one whose last column repeats its first, a consistent v = C x and an
+    inconsistent v."""
+    rng = random.Random(5)
+    cyc = _rand_mat(rng, 12, 6, 3)
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seeds = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0, allow_extension=True)
+    zero = field_zero(p.zero, *seeds)
+    s = [lift(x, zero) for x in seeds]
+    tower = [[s[0] ** i * s[1] ** j + lift(rational(i - j), zero) for j in range(3)] for i in range(5)]
+    for c in (cyc, tower):
+        one = c[0][0].one()
+        dependent = [row[:-1] + row[:1] for row in c]
+        for mat in (c, dependent):
+            x = [one, one + one, -one]
+            consistent = [sum((a * b for a, b in zip(row, x)), one.zero()) for row in mat]
+            inconsistent = consistent[:-1] + [consistent[-1] + one]
+            yield mat, [consistent, inconsistent]
+
+
+def test_replayed_factorization_matches_rref_of_the_augmented_matrix():
+    """factor(C) gives rref(C), and replaying its steps on v gives the last
+    column and the consistency verdict of rref([C | v])."""
+    seen = set()
+    for c, rhs in _replay_cases():
+        ncols = len(c[0])
+        red_c, pivots_c, steps = factor(c)
+        assert (red_c, pivots_c) == rref(c)
+        for v in rhs:
+            red, pivots = rref([row + [x] for row, x in zip(c, v)])
+            assert pivots[: len(pivots_c)] == pivots_c
+            w = replay(steps, v)
+            consistent = ncols not in pivots
+            assert consistent == all(x.is_zero() for x in w[len(pivots_c) :])
+            if consistent:
+                assert [row[ncols] for row in red] == w
+            seen.add((type(c[0][0]).__name__, len(pivots_c) == ncols, consistent))
+    assert seen == {(t, full, ok) for t in ("CycScalar", "ExtScalar") for full in (True, False) for ok in (True, False)}
