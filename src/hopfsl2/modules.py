@@ -338,8 +338,9 @@ def simple_key(p: AlgebraParams, label: SimpleLabel) -> tuple:
     constant equals its Q(zeta_M) value, and a cyclotomic k-seed equals its
     image at another modulus, yet each prints as given.  So the key holds
     the character data as read through p.scalar (which the builders print),
-    i mod n, r, and the k-seed's own key.  Raises WrongType for an unknown
-    kind and for a VI/VII label without a k-seed.
+    i mod n, r as given (a wrong r fails to build, so it is never stored)
+    and the k-seed's own key.  Raises WrongType for an unknown kind and for
+    a VI/VII label without a k-seed.
     """
     if label.kind not in ("V0", "Vr", "VI", "VII"):
         raise WrongType(f"unknown kind {label.kind!r}")
