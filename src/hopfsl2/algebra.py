@@ -157,9 +157,6 @@ class Element:
     def __hash__(self):
         raise TypeError("Element is not hashable")
 
-    def coefficient(self, mono: Monomial, zero) -> CycScalar:
-        return self.terms.get(mono, zero)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
 

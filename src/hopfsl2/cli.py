@@ -12,8 +12,9 @@ IncompatibleModulus, UnboundGenerator, PreconditionViolated), whose report
 carries "error": {class, message}; 2 usage error: a malformed argument or
 file (ParseError), an argparse error, a plain ValueError of parameter
 validation, a --left/--right label of `fuse` that names no simple module,
-a --kseed-index of `build-module` outside [0, number of solved seeds), or a
-quotient suite without --N.
+a --kseed-index of `build-module` outside [0, number of solved seeds), a
+quotient suite without --N, or a `--suite radford` whose --n is not
+N/gcd(N, n1).
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -246,9 +247,12 @@ def cmd_fusion_table(args):
 
 
 def cmd_verify_relations(args):
-    # radford's algebra is Gelaki's at Radford's parameters; --n and --beta are unused
+    # radford's algebra is Gelaki's at Radford's parameters: --N and --n1 fix
+    # n, so an --n that disagrees is a usage error; --beta is unused
     if args.suite == "radford" and args.N:
-        p = radford_context(args.N, args.n1, beta3=1).p
+        p = radford_context(args.N, args.n1).p
+        if args.n != p.n:
+            raise ValueError(f"--suite radford at --N {args.N} --n1 {args.n1} has n = {p.n}, not --n {args.n}")
     else:
         p = make_params(args)
     return run_suite(p, args.suite, args.N)

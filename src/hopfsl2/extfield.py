@@ -13,7 +13,10 @@ truth) are shared with CycScalar through their common base in cyclo.
 The field rule.  Character data (g1, gamma2, gamma3, mu, q, beta) lies in
 Q(zeta_M) and enters through AlgebraParams.scalar; a tower comes in only
 through a k-seed and the module matrices built from it.  Scalars move
-between fields only through lift, field_zero and base_constant below.
+between fields only through the movers below: lift (up into a field that
+holds x), read_in (into a given field, up or down through tower constants),
+field_zero (the one tower among several scalars) and base_constant (the
+Q(zeta_M) value of a tower constant).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .cyclo import (
 )
 
 __all__ = [
-    "Tower", "ExtScalar", "lift", "field_zero", "base_constant", "poly_eval", "find_field_roots", "split_roots",
+    "Tower", "ExtScalar", "lift", "read_in", "field_zero", "base_constant", "poly_eval", "find_field_roots",
+    "split_roots",
 ]
 
 
@@ -233,6 +237,22 @@ def lift(x, zero):
     if isinstance(x, ExtScalar):
         raise TypeError("cannot lower an extension scalar into a cyclotomic field")
     return CycScalar.from_rational(Fraction(x), zero.m)
+
+
+def read_in(x, zero):
+    """x in the field of `zero`: lifted when x's own field lies below it, else
+    read down through tower constants until it does.
+
+    Raises TypeError when x is not such a constant, and IncompatibleModulus
+    for a cyclotomic value whose modulus does not divide that field's.
+    """
+    while True:
+        try:
+            return lift(x, zero)
+        except TypeError:
+            if not (isinstance(x, ExtScalar) and x.is_constant()):
+                raise TypeError("not a constant of the target field") from None
+            x = x.c[0]
 
 
 def field_zero(zero, *scalars):

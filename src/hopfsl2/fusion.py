@@ -18,7 +18,9 @@ principle: trace functions determine composition factors).
   gamma1 tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
   decompose against a character row-reduces the n^2 x ncand block of
   candidate traces once and keeps its row operations in the CharacterBasis;
-  every decompose replays them on the n^2 traces of m.  Every candidate
+  every decompose replays them on the n^2 traces of m, read into the
+  candidates' field by extfield.read_in (a module over another tower must
+  have traces that are constants of that field).  Every candidate
   column must hold a pivot (else RankDeficient, recorded with the
   factorization), the replayed traces below the first ncand must all be
   zero (else NoIntegerSolution: the verdict rref([C | v]) gives), and the
@@ -32,12 +34,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraParams
-from .extfield import base_constant, field_zero, lift
+from .extfield import base_constant, field_zero, lift, read_in
 # rank is not used here: perfbench/test_bench.py checks that its tracer wraps
 # this from-import binding, so it stays until that check names another one
-from .linalg import PivotStep, factor, identity, kron, mat_add, mat_mul, mat_pow, rank, replay, trace  # noqa: F401
+from .linalg import factor, identity, kron, mat_add, mat_mul, mat_pow, rank, replay, trace  # noqa: F401
 from .modules import (
-    FieldTooSmall,
     ModuleRep,
     SimpleLabel,
     WrongType,
@@ -377,6 +378,16 @@ def _as_nonneg_int(x):
     return int(f)
 
 
+def _scalar_action(mat, name: str):
+    """The scalar by which `mat` acts; WrongType when it is not a scalar."""
+    s = mat[0][0]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if not (x - s if i == j else x).is_zero():
+                raise WrongType(f"{name} does not act as a scalar")
+    return s
+
+
 def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     """Composition multiplicities of m by exact trace matching.
 
@@ -384,67 +395,36 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     the a^n scalar (used to enumerate candidate simples).  Since a^n acts as
     that scalar on m and on every candidate, the n^2 trace rows at j < n
     decide rank, consistency and the multiplicities: the character's
-    factorization of its candidate block, made once, is replayed on them.
+    factorization of its candidate block, made once, is replayed on them in
+    the candidates' field.
     """
-    zero = m.zero_scalar()
-    B, C = m.mat("b"), m.mat("c")
-    gamma2 = B[0][0]
-    gamma3 = C[0][0]
-    d = m.dim
-    for i in range(d):
-        for j in range(d):
-            if (i == j and not (B[i][j] - gamma2).is_zero()) or (i != j and not B[i][j].is_zero()):
-                raise WrongType("b does not act as a scalar")
-            if (i == j and not (C[i][j] - gamma3).is_zero()) or (i != j and not C[i][j].is_zero()):
-                raise WrongType("c does not act as a scalar")
-    An = mat_pow(m.mat("a"), p.n)
-    gamma1 = An[0][0]
-    for i in range(d):
-        for j in range(d):
-            target = gamma1 if i == j else zero
-            if not (An[i][j] - target).is_zero():
-                raise WrongType("a^n does not act as a scalar")
+    gamma2 = _scalar_action(m.mat("b"), "b")
+    gamma3 = _scalar_action(m.mat("c"), "c")
+    gamma1 = _scalar_action(mat_pow(m.mat("a"), p.n), "a^n")
     g1n = p.scalar(g1)
-    # over a tower, b and c act by tower constants of Q(zeta_M) character data
-    g2c = base_constant(gamma2)
-    g3c = base_constant(gamma3)
-    if not (lift(g1n, zero) ** p.n - gamma1).is_zero():
+    if not (lift(g1n, m.zero_scalar()) ** p.n - gamma1).is_zero():
         raise WrongType("g1^n does not match the a^n scalar")
-    cands = candidate_simples(p, g1n, g2c, g3c)
+    # over a tower, b and c act by tower constants of Q(zeta_M) character data
+    cands = candidate_simples(p, g1n, base_constant(gamma2), base_constant(gamma3))
     if not isinstance(cands, CharacterBasis):
         # a caller that substitutes its own candidate list: its rows are
         # traced and its block factored for this call only
         cands = CharacterBasis(cands, {lab: trace_vector(p, cm, p.n) for lab, cm in cands})
     plan = cands.factorize(p)
-    # ambient field: the one tower among m and the candidates, or the
-    # candidates' when every trace of m is a constant of Q(zeta_M)
-    traces = trace_vector(p, m, p.n)
     try:
-        ambient = field_zero(zero, plan.zero)
+        traces = [read_in(t, plan.zero) for t in trace_vector(p, m, p.n)]
     except TypeError:
-        try:
-            traces = [base_constant(t) for t in traces]
-        except ValueError:
-            raise RankDeficient("candidates live over incompatible towers") from None
-        ambient = plan.zero
+        raise RankDeficient("candidates live over incompatible towers") from None
     ncand = len(cands)
     if not plan.independent:
         raise RankDeficient(f"candidate trace vectors are linearly dependent (rank < {ncand})")
-    steps = plan.steps
-    if lift(plan.zero, ambient) is not plan.zero:
-        # m lives over a larger field than the candidates: lift the plan there
-        steps = [
-            PivotStep(s.row, s.swap, lift(s.scale, ambient), tuple((i, lift(f, ambient)) for i, f in s.eliminate))
-            for s in steps
-        ]
     # the candidates are independent, so [candidate traces | traces of m]
     # is consistent iff every replayed trace past the first ncand is zero
-    w = replay(steps, [lift(t, ambient) for t in traces])
+    w = replay(plan.steps, traces)
     if any(not x.is_zero() for x in w[ncand:]):
         raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
-    sol = w[:ncand]
     mults = []
-    for x in sol:
+    for x in w[:ncand]:
         k = _as_nonneg_int(x)
         if k is None:
             raise NoIntegerSolution(f"non-integer multiplicity {x!r}")
@@ -455,13 +435,8 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
 
 
 def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
-    """CanonLabel of a (simple) module."""
-    return CanonLabel(
-        m.label.kind if isinstance(m.label, SimpleLabel) else "?",
-        m.dim,
-        tuple(t.key() for t in trace_vector(p, m, 2 * p.n)),
-        m.label if isinstance(m.label, SimpleLabel) else None,
-    )
+    """CanonLabel of a simple module."""
+    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in trace_vector(p, m, 2 * p.n)), m.label)
 
 
 def fuse(p: AlgebraParams, l1: SimpleLabel, l2: SimpleLabel) -> FusionVector:

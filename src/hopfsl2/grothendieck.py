@@ -154,16 +154,15 @@ def _dickson_coeff(t: int, v: int) -> int:
     return int(c)
 
 
-def chebyshev_z(p: AlgebraParams, r: int, g: FusionVector | None = None) -> FusionVector:
+def chebyshev_z(p: AlgebraParams, r: int) -> FusionVector:
     """z_r = sum_v (-1)^v C(r-1-v, v) g^((n-1)v) z2^(r-1-2v) evaluated in the ring.
 
-    When g is None a valid g is used if one exists, else the trivial class
-    (the reading under which the closed form matches the honest z_r classes)."""
-    if g is None:
-        try:
-            g = g_class(p)
-        except UnboundGenerator:
-            g = one(p)
+    g is the valid g if one exists, else the trivial class (the reading under
+    which the closed form matches the honest z_r classes)."""
+    try:
+        g = g_class(p)
+    except UnboundGenerator:
+        g = one(p)
     z2 = z_class(p, 2)
     out = FusionVector()
     for v in range((r - 1) // 2 + 1):
@@ -176,16 +175,14 @@ def chebyshev_z(p: AlgebraParams, r: int, g: FusionVector | None = None) -> Fusi
 # -- expected-class helpers --------------------------------------------------
 
 
-def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r=None) -> FusionVector:
+def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r: int) -> FusionVector:
     """Class of V_r(g1, gamma2, gamma3; i) (V0 when expected_r == 1).
 
     Raises WrongType when the label's computed r disagrees with expected_r,
     which marks a printed reading as inapplicable."""
-    b1, b2, b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
-    if expected_r == 1 or (expected_r is None and b3.is_zero()):
+    if expected_r == 1:
         return cls(p, SimpleLabel("V0", g1, gamma2, gamma3, i))
-    lbl = SimpleLabel("Vr", g1, gamma2, gamma3, i, r=expected_r)
-    return cls(p, lbl)
+    return cls(p, SimpleLabel("Vr", g1, gamma2, gamma3, i, r=expected_r))
 
 
 def chain_pairs(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> FusionVector:
@@ -448,11 +445,8 @@ def rel_thm55_zprime_zprime(p: AlgebraParams, g1a, g1b) -> list:
     return _vt_square_readings(p, 0, g1a, g1b, "printed(s'' z')", thm519_variant=True)
 
 
-def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI", kseed=None):
-    """[(tag, class)] for the VI/VII generator: explicit seed, or all classes."""
-    if kseed is not None:
-        lbl = SimpleLabel(kind, g1, gamma2, gamma3, 0, kseed=kseed)
-        return [("seed=given", cls(p, lbl))]
+def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI"):
+    """[(tag, class)] for the VI/VII generator: every seed-class at the character."""
     fam = vi_family(p, g1, gamma2, gamma3, kind)
     if not fam:
         raise UnboundGenerator(f"no {kind} simple at this character")
@@ -461,11 +455,11 @@ def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI", kseed=None):
     return [(f"class#{k}", f) for k, f in enumerate(fam)]
 
 
-def rel_thm58_z2_x(p: AlgebraParams, g1z, zeta2, kseed=None) -> list:
+def rel_thm58_z2_x(p: AlgebraParams, g1z, zeta2) -> list:
     g1z, zeta2 = p.scalar(g1z), p.scalar(zeta2)
     newg1 = g1z * p.sqrt_q
     readings = []
-    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed):
+    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2):
         lhs = gr_mul(p, z_class(p, 2), xcls)
         readings.append(
             _structural_vi_reading(
@@ -491,13 +485,13 @@ def _z2_times_vt(p: AlgebraParams, kind: str, xi, printed: str) -> list:
     return [_try_reading(printed, lhs, lambda: gr_mul(p, eta, vt(xiq, 0) + vt(xiq, p.n - 1)))]
 
 
-def _seed_class_times_vt(p: AlgebraParams, kind: str, g1, c2, xi, kseed, printed: str) -> list:
+def _seed_class_times_vt(p: AlgebraParams, kind: str, g1, c2, xi, printed: str) -> list:
     """[V_I(g1, 1, c2)] z''_xi or [V_II(g1, c2, 1)] z~_xi: t classes of the
     same kind at the character with c2 xi in place of c2."""
     g1, c2, xi = p.scalar(g1), p.scalar(c2), p.scalar(xi)
     vt = cls(p, SimpleLabel("Vr", p.one, *_gammas(p, kind, xi), 0, r=p.t))
     readings = []
-    for tag, c in _vi_choices(p, g1, *_gammas(p, kind, c2), kind=kind, kseed=kseed):
+    for tag, c in _vi_choices(p, g1, *_gammas(p, kind, c2), kind=kind):
         lhs = gr_mul(p, c, vt)
         readings.append(
             _structural_vi_reading(p, f"{printed} [{tag}]", lhs, g1, *_gammas(p, kind, c2 * xi), p.t, kind=kind)
@@ -509,8 +503,8 @@ def rel_thm58_z2_zdprime(p: AlgebraParams, xi) -> list:
     return _z2_times_vt(p, "VI", xi, "printed(eta (z''_(xi q^-n1) + g^(n-1) z''))")
 
 
-def rel_thm58_x_zdprime(p: AlgebraParams, g1z, zeta2, xi, kseed=None) -> list:
-    return _seed_class_times_vt(p, "VI", g1z, zeta2, xi, kseed, "printed(s'' x_(zeta1, zeta2 xi))")
+def rel_thm58_x_zdprime(p: AlgebraParams, g1z, zeta2, xi) -> list:
+    return _seed_class_times_vt(p, "VI", g1z, zeta2, xi, "printed(s'' x_(zeta1, zeta2 xi))")
 
 
 def rel_thm58_zd_zd(p: AlgebraParams, xi, xip) -> list:
@@ -524,22 +518,14 @@ def _product_case_readings(p, lhs_elem, G, g2prod, g3prod, casename) -> list:
     constituents when beta1'' or beta2'' is nonzero; V0 ladders when all
     primed parameters vanish with beta3 = 0; chain splitting when beta3 != 0."""
     b1pp, b2pp, _b3, _mu = kind_conditions(p, G, g2prod, g3prod, 0)
-    readings = []
-    if not b1pp.is_zero():
-        readings.append(
-            _structural_vi_reading(
-                p, f"{casename}: n V_I constituents", lhs_elem, G, g2prod, g3prod, p.n
-            )
-        )
-        readings.append(_s_times_reading(p, lhs_elem, G, g2prod, g3prod, "VI"))
-    elif not b2pp.is_zero():
-        readings.append(
-            _structural_vi_reading(
-                p, f"{casename}: n V_II constituents", lhs_elem, G, g2prod, g3prod, p.n, kind="VII"
-            )
-        )
-        readings.append(_s_times_reading(p, lhs_elem, G, g2prod, g3prod, "VII"))
-    elif p.beta[2].is_zero():
+    if not (b1pp.is_zero() and b2pp.is_zero()):
+        kind = "VII" if b1pp.is_zero() else "VI"
+        name = f"{casename}: n V_{kind[1:]} constituents"
+        return [
+            _structural_vi_reading(p, name, lhs_elem, G, g2prod, g3prod, p.n, kind=kind),
+            _s_times_reading(p, lhs_elem, G, g2prod, g3prod, kind),
+        ]
+    if p.beta[2].is_zero():
         # n s g_(...): n copies of every 1-dim class over the character
         def rhs_v0():
             out = FusionVector()
@@ -547,21 +533,16 @@ def _product_case_readings(p, lhs_elem, G, g2prod, g3prod, casename) -> list:
                 out = out + cls(p, SimpleLabel("V0", G, g2prod, g3prod, j))
             return out.scale(p.n)
 
-        readings.append(
-            _try_reading(f"{casename}: n s g (V0 ladder)", lambda: lhs_elem, rhs_v0)
-        )
-    else:
-        def rhs_chains():
-            out = FusionVector()
-            for slot in range(p.n):
-                for k in range(p.u):
-                    out = out + chain_pairs(p, G, g2prod, g3prod, (p.n - slot - k * p.t) % p.n)
-            return out
+        return [_try_reading(f"{casename}: n s g (V0 ladder)", lambda: lhs_elem, rhs_v0)]
 
-        readings.append(
-            _try_reading(f"{casename}: chain split per slot", lambda: lhs_elem, rhs_chains)
-        )
-    return readings
+    def rhs_chains():
+        out = FusionVector()
+        for slot in range(p.n):
+            for k in range(p.u):
+                out = out + chain_pairs(p, G, g2prod, g3prod, (p.n - slot - k * p.t) % p.n)
+        return out
+
+    return [_try_reading(f"{casename}: chain split per slot", lambda: lhs_elem, rhs_chains)]
 
 
 def _s_times_reading(p, lhs_elem, G, g2prod, g3prod, kind) -> Reading:
@@ -583,33 +564,33 @@ def _s_times_reading(p, lhs_elem, G, g2prod, g3prod, kind) -> Reading:
     return Reading(f"printed(s {kind} class)", True, hold, note if hold else f"lhs = {lhs_elem!r}; " + note)
 
 
-def _same_kind_product(p: AlgebraParams, kind: str, g1a, c2a, g1b, c2b, kseed_a, kseed_b) -> list:
+def _same_kind_product(p: AlgebraParams, kind: str, g1a, c2a, g1b, c2b) -> list:
     """[V_I][V_I] over characters (g1, 1, c2), or [V_II][V_II] over (g1, c2, 1)."""
     g1a, c2a = p.scalar(g1a), p.scalar(c2a)
     g1b, c2b = p.scalar(g1b), p.scalar(c2b)
     G = g1a * g1b
     readings = []
-    for tag_a, ca in _vi_choices(p, g1a, *_gammas(p, kind, c2a), kind=kind, kseed=kseed_a):
-        for tag_b, cb in _vi_choices(p, g1b, *_gammas(p, kind, c2b), kind=kind, kseed=kseed_b):
+    for tag_a, ca in _vi_choices(p, g1a, *_gammas(p, kind, c2a), kind=kind):
+        for tag_b, cb in _vi_choices(p, g1b, *_gammas(p, kind, c2b), kind=kind):
             lhs_elem = gr_mul(p, ca, cb)
             case = f"[{tag_a} x {tag_b}]"
             readings.extend(_product_case_readings(p, lhs_elem, G, *_gammas(p, kind, c2a * c2b), case))
     return readings
 
 
-def rel_x_times_x(p: AlgebraParams, g1a, zeta2a, g1b, zeta2b, kseed_a=None, kseed_b=None) -> list:
+def rel_x_times_x(p: AlgebraParams, g1a, zeta2a, g1b, zeta2b) -> list:
     """The V_I x V_I product in all of its displayed cases (Thms 5.8/5.10/5.15/5.19)."""
-    return _same_kind_product(p, "VI", g1a, zeta2a, g1b, zeta2b, kseed_a, kseed_b)
+    return _same_kind_product(p, "VI", g1a, zeta2a, g1b, zeta2b)
 
 
-def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2, kseed_x=None, kseed_y=None) -> list:
+def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2) -> list:
     """x_(zeta1,zeta2) y_(eps1,eps2) = s g_(eps1,eps2,eps2) x_(zeta1, zeta2 eps2^-1) = y x."""
     g1z, zeta2 = p.scalar(g1z), p.scalar(zeta2)
     g1e, eps2 = p.scalar(g1e), p.scalar(eps2)
     G = g1z * g1e
     readings = []
-    for tag_x, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed_x):
-        for tag_y, ycls in _vi_choices(p, g1e, eps2, p.one, kind="VII", kseed=kseed_y):
+    for tag_x, xcls in _vi_choices(p, g1z, p.one, zeta2):
+        for tag_y, ycls in _vi_choices(p, g1e, eps2, p.one, kind="VII"):
             lhs = gr_mul(p, xcls, ycls)
             case = f"[{tag_x} x {tag_y}]"
             readings.append(
@@ -630,29 +611,29 @@ def rel_x_times_y(p: AlgebraParams, g1z, zeta2, g1e, eps2, kseed_x=None, kseed_y
     return readings
 
 
-def rel_y_times_y(p: AlgebraParams, g1a, eps2a, g1b, eps2b, kseed_a=None, kseed_b=None) -> list:
+def rel_y_times_y(p: AlgebraParams, g1a, eps2a, g1b, eps2b) -> list:
     """The V_II x V_II product cases (Thms 5.13/5.15/5.17/5.19)."""
-    return _same_kind_product(p, "VII", g1a, eps2a, g1b, eps2b, kseed_a, kseed_b)
+    return _same_kind_product(p, "VII", g1a, eps2a, g1b, eps2b)
 
 
 def rel_thm517_z2_ztilde(p: AlgebraParams, xi) -> list:
     return _z2_times_vt(p, "VII", xi, "printed(eta' (z~_(xi q^-n1) + g^(n-1) z~))")
 
 
-def rel_thm517_y_ztilde(p: AlgebraParams, g1e, eps2, xi, kseed=None) -> list:
-    return _seed_class_times_vt(p, "VII", g1e, eps2, xi, kseed, "printed(s'' y_(eps1, eps2 xi))")
+def rel_thm517_y_ztilde(p: AlgebraParams, g1e, eps2, xi) -> list:
+    return _seed_class_times_vt(p, "VII", g1e, eps2, xi, "printed(s'' y_(eps1, eps2 xi))")
 
 
 def rel_thm517_zt_zt(p: AlgebraParams, xi, xip) -> list:
     return _vt_square_readings(p, 1, xi, xip, "printed(s'' z~_(xi xi'))")
 
 
-def rel_thm519_x_zprime(p: AlgebraParams, g1z, zeta2, g1xi, kseed=None) -> list:
+def rel_thm519_x_zprime(p: AlgebraParams, g1z, zeta2, g1xi) -> list:
     """x_(zeta1,zeta2) z'_xi = g^(n-t) s'' x_(zeta1 xi, zeta2)."""
     g1z, zeta2, g1xi = p.scalar(g1z), p.scalar(zeta2), p.scalar(g1xi)
     zp = cls(p, SimpleLabel("Vr", g1xi, p.one, p.one, 0, r=p.t))
     readings = []
-    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2, kseed=kseed):
+    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2):
         lhs = gr_mul(p, xcls, zp)
         readings.append(
             _structural_vi_reading(
@@ -783,6 +764,11 @@ def _aux_root(p: AlgebraParams, avoid_pows=()):
 def default_suite_instances(p: AlgebraParams, suite: str):
     """Reasonable parameter bindings for each relation suite at the given p."""
     t = p.t
+
+    def gamma1_n1_is_one(z):
+        # a V_I/V_II generator at g1 = z needs gamma1^n1 = (z^n)^n1 != 1
+        return ((z ** p.n) ** p.n1 - p.one).is_zero()
+
     if suite == "thm5.5":
         out = [("thm5.5.star1", {})]
         for r in range(2, t + 1):
@@ -798,7 +784,7 @@ def default_suite_instances(p: AlgebraParams, suite: str):
             pass
         return out
     if suite == "thm5.8":
-        zeta1 = _aux_root(p, avoid_pows=[lambda z: ((z ** p.n) ** p.n1 - p.one).is_zero()])
+        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
         xi = _aux_root(p, avoid_pows=[lambda z: r_value(p, p.one, p.one, z) is not None])
         return [
             ("thm5.8.z2_x", {"g1z": zeta1, "zeta2": 1}),
@@ -810,7 +796,7 @@ def default_suite_instances(p: AlgebraParams, suite: str):
             ("x_times_x", {"g1a": zeta1, "zeta2a": 1, "g1b": zeta1.inv(), "zeta2b": 1}),
         ]
     if suite in ("thm5.10", "thm5.15"):
-        zeta1 = _aux_root(p, avoid_pows=[lambda z: ((z ** p.n) ** p.n1 - p.one).is_zero()])
+        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
         # zeta2 = zeta1^n1 keeps the k-seed constraint target zero (in-field seeds)
         z2a = zeta1**p.n1
         out = [
@@ -823,14 +809,14 @@ def default_suite_instances(p: AlgebraParams, suite: str):
             )
         return out
     if suite == "thm5.13":
-        eps1 = _aux_root(p, avoid_pows=[lambda z: ((z ** p.n) ** p.n1 - p.one).is_zero()])
+        eps1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
         e2 = eps1**p.n1
         return [
             ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1, "eps2b": e2}),
             ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1.inv(), "eps2b": e2.inv()}),
         ]
     if suite == "thm5.17":
-        eps1 = _aux_root(p, avoid_pows=[lambda z: ((z ** p.n) ** p.n1 - p.one).is_zero()])
+        eps1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
         e2 = eps1**p.n1
         xi = _aux_root(p, avoid_pows=[lambda z: r_value(p, p.one, z, p.one) is not None])
         return [
@@ -841,7 +827,7 @@ def default_suite_instances(p: AlgebraParams, suite: str):
             ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1, "eps2b": e2}),
         ]
     if suite == "thm5.19":
-        zeta1 = _aux_root(p, avoid_pows=[lambda z: ((z ** p.n) ** p.n1 - p.one).is_zero()])
+        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
         z2a = zeta1**p.n1
         out = [
             ("thm5.5.star1", {}),
@@ -856,7 +842,7 @@ def default_suite_instances(p: AlgebraParams, suite: str):
             xi = _aux_root(
                 p,
                 avoid_pows=[
-                    lambda z: not ((z ** p.n) ** p.n1 - p.one).is_zero(),
+                    lambda z: not gamma1_n1_is_one(z),
                     lambda z: r_value(p, z, p.one, p.one) is not None,
                 ],
             )
@@ -971,10 +957,6 @@ class GelakiContext:
             out.append((conv, c, ""))
         return name, order, out
 
-    def _star(self, kind: str) -> FusionVector:
-        """x* or y* = [V(frak_q^n, 1, 1; 0)] of the kind (its unique seed-class)."""
-        return _resolve_vi(self.p, self.frak_q, self.p.one, self.p.one, kind)
-
     def verify_orders(self) -> list[RelationReport]:
         """g^n = 1 and the printed h-order for this beta-case (all conventions)."""
         p = self.p
@@ -1005,12 +987,13 @@ class GelakiContext:
         raise UnboundGenerator(f"{name} names no module under either root convention")
 
     def _star_power(self, kind: str, relation_id: str, name: str) -> RelationReport:
-        """Cor 5.11 / 5.14 / 5.16: star^(N/(N/n,n1)) = n^(...-1) s h (beta3 = 0)."""
+        """Cor 5.11 / 5.14 / 5.16: star^(N/(N/n,n1)) = n^(...-1) s h (beta3 = 0),
+        with x* or y* = [V(frak_q^n, 1, 1; 0)] of the kind (its unique seed-class)."""
         p, N = self.p, self.N
         D = N // math.gcd(N // p.n, p.n1)
         reading = _try_reading(
             f"{name}^{D} = n^{D-1} s h",
-            lambda: gr_pow(p, self._star(kind), D),
+            lambda: gr_pow(p, _resolve_vi(p, self.frak_q, p.one, p.one, kind), D),
             lambda: gr_mul(p, s_full(p), self._h_for_power_relation()).scale(p.n ** (D - 1)),
         )
         return RelationReport(relation_id, f"N={N}", [reading])
@@ -1030,12 +1013,12 @@ class GelakiContext:
         return labels, table
 
 
-def radford_context(N: int, nu: int, beta3=1, extra_orders=()) -> GelakiContext:
+def radford_context(N: int, nu: int) -> GelakiContext:
     """U_(N,nu,omega) = Gelaki's algebra at (N/(N,nu), N, nu, omega^nu, 0, 0, 1)."""
     if (nu * nu) % N == 0:
         raise ValueError("Radford's algebra needs N not dividing nu^2")
     n = N // math.gcd(N, nu)
-    p = AlgebraParams(n, nu, beta=(0, 0, beta3), extra_orders=(N,) + tuple(extra_orders))
+    p = AlgebraParams(n, nu, beta=(0, 0, 1), extra_orders=(N,))
     return GelakiContext(p, N)
 
 

@@ -711,32 +711,17 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
         raise ParameterConstraint("need beta1'' = beta2'' = 0")
     if r_value(p, mu, gamma2, gamma3) is not None:
         raise ParameterConstraint("need gamma1^(-2n1/n) gamma2 gamma3 outside <q^n1>")
-    zero, one = p.zero, p.one
-    g1n = p.scalar(g1)
-    d = 2 * t
-    a = zeros(zero, d, d)
-    for pdx in range(1, t + 1):
-        a[pdx - 1][pdx - 1] = g1n * p.qpow(i - pdx + 1)
-        a[t + pdx - 1][t + pdx - 1] = g1n * p.qpow(i - t - pdx + 1)
-    bmat = _scalar_mat(p.scalar(gamma2), d)
-    cmat = _scalar_mat(p.scalar(gamma3), d)
-    x = zeros(zero, d, d)
-    for pdx in range(d - 1):
-        x[pdx + 1][pdx] = one
+    # one x-chain of length 2t: the V_t chain at mu over the V_t chain at
+    # mu q^-t, joined by a zero y-coefficient
     ks_top = _vr_k_coeffs(p, mu, gamma2, gamma3, t - 1)
-    mu_low = g1n * p.qpow(i - t)
-    ks_low = _vr_k_coeffs(p, mu_low, gamma2, gamma3, t - 1)
-    y = zeros(zero, d, d)
-    for pdx in range(2, t + 1):
-        y[pdx - 2][pdx - 1] = ks_top[pdx - 2]
-        y[t + pdx - 2][t + pdx - 1] = ks_low[pdx - 2]
-    total = ModuleRep(d, {"a": a, "b": bmat, "c": cmat, "x": x, "y": y}, ("prop47", i), p)
+    ks_low = _vr_k_coeffs(p, mu * p.qpow(-t), gamma2, gamma3, t - 1)
+    coeffs = ks_top + [p.zero] + ks_low
+    total = _chain_module(p, ("prop47", i), p.zero, mu, gamma2, gamma3, "x", p.zero, coeffs, p.zero)
     sub = build_Vr(p, g1, gamma2, gamma3, i - t)
     quot = build_Vr(p, g1, gamma2, gamma3, i)
-    incl = zeros(zero, d, t)
+    incl = zeros(p.zero, 2 * t, t)
+    proj = zeros(p.zero, t, 2 * t)
     for r in range(t):
-        incl[t + r][r] = one
-    proj = zeros(zero, t, d)
-    for r in range(t):
-        proj[r][r] = one
+        incl[t + r][r] = p.one
+        proj[r][r] = p.one
     return Extension(total, sub, quot, incl, proj)

@@ -94,6 +94,15 @@ def test_cli_build_module_seed_index_out_of_range_is_a_usage_error(capsys, index
     assert f"error: --kseed-index {index} is out of range: the solve gave 1 seed(s)" in captured.err
 
 
+@pytest.mark.parametrize("n", ["3", "2"])
+def test_cli_radford_with_a_disagreeing_n_is_a_usage_error(capsys, n):
+    # --N 4 --n1 1 fix Radford's n = 4/gcd(4, 1) = 4
+    code = main(["verify-relations", "--suite", "radford", "--n", n, "--n1", "1", "--N", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: --suite radford at --N 4 --n1 1 has n = 4, not --n {n}" in captured.err
+
+
 def test_cli_vk_label_sugar(capsys):
     code, rep = run_cli(
         capsys, "fuse", "--n", "3", "--n1", "1", "--beta", "0,0,1",

@@ -6,7 +6,7 @@ import pytest
 
 from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
-from hopfsl2.cyclo import root_of_unity
+from hopfsl2.cyclo import CycScalar, root_of_unity
 from hopfsl2.cyclo import rational
 from hopfsl2.extfield import ExtScalar, Tower, base_constant, lift
 from hopfsl2.fusion import (
@@ -588,3 +588,56 @@ def test_module_and_class_tables_die_with_their_params():
     del p
     gc.collect()
     assert module() is None and label() is None
+
+
+def test_tower_product_replays_in_the_cyclotomic_field_of_its_candidates(monkeypatch):
+    """Two VI candidates of z6 at beta = (1, 1, 0) live over a cubic tower,
+    while the candidates at z6^2 are cyclotomic.  decompose reads the
+    product's traces down into Q(zeta_6) and replays the recorded steps
+    there: every scalar that replay sees is a CycScalar, and the result is
+    that of the full trace system of the oracle."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 0))
+    z6 = root_of_unity(6, 1)
+    (_, c0), (_, c1), _ = candidate_simples(p, z6, p.one, p.one)
+    assert all(isinstance(c.zero_scalar(), ExtScalar) for c in (c0, c1))
+    seen = set()
+    replay = fusion.replay
+
+    def spy(steps, v):
+        seen.update(type(x) for x in v)
+        for step in steps:
+            seen.add(type(step.scale))
+            seen.update(type(f) for _, f in step.eliminate)
+        return replay(steps, v)
+
+    monkeypatch.setattr(fusion, "replay", spy)
+    mt = tensor(p, c0, c1, check=False)
+    fv = decompose(p, mt, z6 * z6)
+    assert seen == {CycScalar}
+    assert fv == reference_decompose(p, mt, z6 * z6) and fv.total_dim() == 9
+
+
+def test_decompose_preconditions_raise_wrong_type(pb3):
+    """Non-scalar b, c or a^n, and a g1 whose n-th power is not the a^n
+    scalar, raise WrongType; b is checked before c."""
+    p = pb3
+    m = build_simple(p, z2_label(p))
+    zero, one = p.zero, p.one
+
+    def changed(**mats):
+        return ModuleRep(m.dim, {**m.mats, **mats}, m.label, p)
+
+    not_scalar = [[one, zero], [zero, p.q]]
+    off_diagonal = [[one, one], [zero, one]]
+    cases = [
+        (changed(b=not_scalar), "b does not act as a scalar"),
+        (changed(c=off_diagonal), "c does not act as a scalar"),
+        (changed(b=off_diagonal, c=off_diagonal), "b does not act as a scalar"),
+        (changed(b=not_scalar, c=off_diagonal), "b does not act as a scalar"),
+        (changed(a=off_diagonal), "a\\^n does not act as a scalar"),
+    ]
+    for module, message in cases:
+        with pytest.raises(WrongType, match=message):
+            decompose(p, module, m.label.g1)
+    with pytest.raises(WrongType, match="g1\\^n does not match the a\\^n scalar"):
+        decompose(p, m, -p.one)

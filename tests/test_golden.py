@@ -37,6 +37,10 @@ COMMANDS = {
     "relations_thm519": "verify-relations --suite thm5.19 --n 3 --n1 1 --beta 1,1,1 --extra-orders 9 4",
     # a typed library error: exit 1 with a top-level "error" block
     "relations_unbound_generator": "verify-relations --suite thm5.17 --n 5 --n1 2 --beta 1,0,1",
+    # modules over a k-seed tower decomposed against cyclotomic candidates
+    "relations_thm58_tower_module": "verify-relations --suite thm5.8 --n 3 --n1 1 --beta 1,1,0",
+    # candidates over a tower that the module's traces do not reach
+    "relations_thm58_incompatible_towers": "verify-relations --suite thm5.8 --n 3 --n1 1 --beta 1,1,1",
 }
 
 

@@ -13,6 +13,7 @@ from hopfsl2.extfield import (
     find_field_roots,
     lift,
     poly_eval,
+    read_in,
     split_roots,
 )
 from hopfsl2.modules import build_VI, solve_k_seed
@@ -165,6 +166,35 @@ def test_field_zero_picks_the_one_tower():
         field_zero(p.zero, t1.gen(), t2.gen())
     with pytest.raises(TypeError):
         field_zero(t1.lift(0), t2.gen())
+
+
+def test_read_in_lifts_from_below_and_reads_tower_constants_down():
+    # the VI seeds at g1 = zeta_9, beta = (1, 1, 1) need two tower steps
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seeds = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0, allow_extension=True)
+    zero = field_zero(p.zero, *seeds)
+    inner = zero.tower.base_zero()
+    s = inner.tower.gen()
+    # from below: a Q(zeta_M) value and a value of the inner tower step
+    assert read_in(p.sqrt_q, zero) == lift(p.sqrt_q, zero) and read_in(p.sqrt_q, zero).tower is zero.tower
+    assert read_in(s, zero) == zero.tower.lift(s) and read_in(s, zero).tower is zero.tower
+    assert read_in(s, inner) is s and read_in(p.q, p.zero) == p.q
+    # down: constants of the nested tower, and a constant of another tower
+    assert read_in(zero.tower.lift(s), inner) == s
+    assert read_in(zero.tower.lift(p.q), p.zero) == p.q
+    other = Tower.make((rational(2, p.M), rational(0, p.M), rational(0, p.M), rational(1, p.M)))
+    moved = read_in(other.lift(p.sqrt_q), zero)
+    assert moved.tower is zero.tower and base_constant(moved) == p.sqrt_q
+    # a value that is no constant of the target field
+    for x, target in ((other.gen(), zero), (zero.tower.gen(), inner), (s, p.zero), (zero.tower.lift(s), p.zero)):
+        with pytest.raises(TypeError):
+            read_in(x, target)
+    # a foreign modulus
+    for target in (p.zero, inner, zero):
+        with pytest.raises(IncompatibleModulus):
+            read_in(root_of_unity(5, 1), target)
+    with pytest.raises(IncompatibleModulus):
+        read_in(Tower.make((rational(2, 5), rational(0, 5), rational(1, 5))).lift(root_of_unity(5, 1)), zero)
 
 
 def _replay_cases():
