@@ -252,8 +252,9 @@ class Caches:
     (grothendieck.cls).
     Fusion layer: `character_bases` holds, per central character, the
     candidate simples, their trace rows and the factorization of those rows
-    that decompose replays (fusion.candidate_simples), and `fuse` the fuse
-    results per class pair (grothendieck.gr_mul).
+    that decompose replays (fusion.candidate_simples), and `fuse` maps a
+    class pair to its fuse results, one per displays' (gamma2, gamma3)
+    (grothendieck.gr_mul).
     """
 
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
@@ -263,7 +264,7 @@ class Caches:
     modules: dict[tuple, ModuleRep] = field(default_factory=dict)
     classes: dict[tuple, CanonLabel] = field(default_factory=dict)
     character_bases: dict[tuple, CharacterBasis] = field(default_factory=dict)
-    fuse: dict[tuple, FusionVector] = field(default_factory=dict)
+    fuse: dict[tuple, list[tuple[tuple, FusionVector]]] = field(default_factory=dict)
 
 
 def _add(d: dict, key, coeff) -> None:
@@ -687,12 +688,15 @@ class QuotientParams:
 
     def reduce(self, e: Element) -> Element:
         """Substitute b -> a^(n m n2), c -> a^(m n n3) and fold a-exponents mod N."""
-        n, m = self.p.n, self.m
         out = Element()
         for mono, coeff in e.terms.items():
-            i = (mono.i + n * m * self.n2 * mono.j + m * n * self.n3 * mono.k) % self.N
-            _accum(out.terms, Monomial(i, 0, 0, mono.u, mono.v), coeff)
+            _accum(out.terms, Monomial(self._a_exponent(mono), 0, 0, mono.u, mono.v), coeff)
         return out
+
+    def _a_exponent(self, mono: Monomial) -> int:
+        """The exponent of a, in [0, N), of mono with b -> a^(n m n2) and c -> a^(m n n3)."""
+        nm = self.p.n * self.m
+        return (mono.i + nm * (self.n2 * mono.j + self.n3 * mono.k)) % self.N
 
     def mul(self, e1: Element, e2: Element) -> Element:
         return self.reduce(self.p.mul(e1, e2))
@@ -789,10 +793,20 @@ class QuotientParams:
 class BlockAlgebra:
     """The block e_i H_(alpha,beta) in its weight presentation.
 
-    Generated by g, x, y with g^n = 1, x^n = beta1', y^n = beta2',
-    gx = q^(-1) xg, gy = q yg and yx - q^(-n1) xy = cg * g^(2 n1) + c0.
-    The primed parameters and the commutator data cg, c0 are *computed*
-    from quotient arithmetic, not read off displayed formulas.
+    Generated by g = w e a, x' = x e and y' = s y e, where w = omega0^i and
+    s = 1 at beta3 = 0, else beta3^(-1) w^(2 n1).  They satisfy g^n = 1,
+    x^n = beta1', y^n = beta2', gx = q^(-1) xg, gy = q yg and
+    yx - q^(-n1) xy = cg * g^(2 n1) + c0.  Block elements are dicts
+    {(a, b, c): coeff} on the basis g^a x^b y^c, 0 <= a, b, c < n.
+
+    There is no second rewriting system: `multiply` lifts g^a x^b y^c to
+    w^a s^c a^a x^b y^c, multiplies the lifts in the H_beta product table,
+    substitutes b -> a^(n m n2), c -> a^(m n n3) with a-exponents mod N, and
+    reads each term coeff * a^i x^b y^c back as coeff * w^(-i) s^(-c) at
+    (i mod n, b, c), since e a^n = w^(-n) e.  Each product of two basis
+    elements is read once and kept per block.  The primed parameters and the
+    commutator data cg, c0 are *computed* from block products (x^n, y^n and
+    yx - q^(-n1) xy), not read off displayed formulas.
     """
 
     def __init__(self, qp: QuotientParams, index: int):
@@ -800,45 +814,42 @@ class BlockAlgebra:
         self.p = p
         self.qp = qp
         self.index = index
-        n = p.n
+        n, n1 = p.n, p.n1
         e = qp.central_idempotents()[index]
-        omega0 = qp.omega0()
-        a = Element.monomial(Monomial(1, 0, 0, 0, 0), p.one)
-        x = Element.monomial(Monomial(0, 0, 0, 1, 0), p.one)
-        y = Element.monomial(Monomial(0, 0, 0, 0, 1), p.one)
-        g = qp.mul(e, a).scale(omega0**index)
-        xp = qp.mul(x, e)
+        w = qp.omega0() ** index
         beta3 = p.beta[2]
-        if beta3.is_zero():
-            yp = qp.mul(y, e)
-        else:
-            yp = qp.mul(y, e).scale(beta3.inv() * omega0 ** (2 * p.n1 * index))
+        s = p.one if beta3.is_zero() else beta3.inv() * w ** (2 * n1)
+        # w^k for k < N and s^k for k < 2n - 1: the factors of _basis_product
+        self._wpow = [w**k for k in range(qp.N)]
+        self._spow = [s**k for k in range(2 * n - 1)]
+        # (k1, k2) -> the terms of the product of basis elements k1 and k2
+        self._products: dict[tuple, tuple] = {}
         self.idem = e
-        self.g_elem, self.x_elem, self.y_elem = g, xp, yp
-        self.beta1p = self._scalar_multiple(_power(xp, n, qp.mul), e)
-        self.beta2p = self._scalar_multiple(_power(yp, n, qp.mul), e)
-        comm = qp.mul(yp, xp) - qp.mul(xp, yp).scale(p.qpow(-p.n1))
-        if comm.is_zero():
+        self.g_elem = qp.mul(e, p.gen("a")).scale(w)
+        self.x_elem = qp.mul(p.gen("x"), e)
+        self.y_elem = qp.mul(p.gen("y"), e).scale(s)
+        xm = {(0, 1, 0): p.one}
+        ym = {(0, 0, 1): p.one}
+        self.beta1p = self._scalar(_power(xm, n, self.multiply))
+        self.beta2p = self._scalar(_power(ym, n, self.multiply))
+        comm = self.multiply(ym, xm)
+        phase = p.qpow(-n1)
+        for key, c in self.multiply(xm, ym).items():
+            _accum(comm, key, -(phase * c))
+        if not comm:
             self.cg = p.zero
             self.c0 = p.zero
         else:
-            # expect comm = g^(2 n1) + c0 * e  (the normalized-beta3 form)
-            rest = comm - _power(g, 2 * p.n1, qp.mul)
+            # expect comm = g^(2 n1) + c0  (the normalized-beta3 form)
+            _accum(comm, ((2 * n1) % n, 0, 0), -p.one)
             self.cg = p.one
-            self.c0 = self._scalar_multiple(rest, e)
+            self.c0 = self._scalar(comm)
 
-    def _scalar_multiple(self, elem: Element, idem: Element) -> CycScalar:
-        """The scalar s with elem = s * idem (exact; raises otherwise)."""
-        if elem.is_zero():
-            return self.p.zero
-        mono, coeff = next(iter(idem.terms.items()))
-        got = elem.terms.get(mono)
-        if got is None:
+    def _scalar(self, elem: dict) -> CycScalar:
+        """The scalar s with elem = s * 1 in the block (exact; raises otherwise)."""
+        if elem.keys() - {(0, 0, 0)}:
             raise ArithmeticError("element is not a scalar multiple of the idempotent")
-        s = got * coeff.inv()
-        if elem != idem.scale(s):
-            raise ArithmeticError("element is not a scalar multiple of the idempotent")
-        return s
+        return elem.get((0, 0, 0), self.p.zero)
 
     def degenerate(self) -> bool:
         return (
@@ -851,53 +862,30 @@ class BlockAlgebra:
     # abstract block arithmetic on the basis g^a x^b y^c ----------------
 
     def multiply(self, e1: dict, e2: dict) -> dict:
+        """The block product: one table entry per pair of basis elements."""
         out: dict[tuple[int, int, int], CycScalar] = {}
-        n = self.p.n
-        for (a1, b1, v1), c1 in e1.items():
-            for (a2, b2, v2), c2 in e2.items():
-                # move g^a2 left past x^b1 y^v1: x^b g^a = q^(ab) g^a x^b,
-                # y^v g^a = q^(-av) g^a y^v
-                coeff = c1 * c2 * self.p.qpow(a2 * (b1 - v1))
-                self._straighten_block(out, (a1 + a2) % n, b1, v1, b2, v2, coeff)
-        return {m: c for m, c in out.items() if not c.is_zero()}
+        for k1, c1 in e1.items():
+            for k2, c2 in e2.items():
+                c = c1 * c2
+                for key, coeff in self._basis_product(k1, k2):
+                    _accum(out, key, c * coeff)
+        return out
 
-    def _straighten_block(self, out, a, b1, v, b2, c2, coeff):
-        p = self.p
-        n, n1 = p.n, p.n1
-        if coeff.is_zero():
-            return
-        if v == 0 or b2 == 0:
-            b, cc = b1 + b2, v + c2
-            while b >= n:
-                coeff = coeff * self.beta1p
-                b -= n
-            while cc >= n:
-                coeff = coeff * self.beta2p
-                cc -= n
-            _accum(out, (a % n, b, cc), coeff)
-            return
-        # y^v x = q^(-v n1) x y^v + u_v (q^(-(v-1) n1) cg g^(2n1) + c0) y^(v-1)
-        self._straighten_block(out, a, b1 + 1, v, b2 - 1, c2, coeff * p.qpow(-v * n1))
-        if not (self.cg.is_zero() and self.c0.is_zero()):
-            u_v = p.zero
-            for jj in range(v):
-                u_v = u_v + p.qpow(-jj * n1)
-            f = coeff * u_v
-            if f.is_zero():
-                return
-            if not self.cg.is_zero():
-                # g^(2n1) moves left past x^b1 with phase q^(2 n1 b1)
-                self._straighten_block(
-                    out,
-                    (a + 2 * n1) % n,
-                    b1,
-                    v - 1,
-                    b2 - 1,
-                    c2,
-                    f * self.cg * p.qpow(-(v - 1) * n1) * p.qpow(2 * n1 * b1),
-                )
-            if not self.c0.is_zero():
-                self._straighten_block(out, a, b1, v - 1, b2 - 1, c2, f * self.c0)
+    def _basis_product(self, k1: tuple, k2: tuple) -> tuple:
+        """The terms of g^a1 x^b1 y^c1 * g^a2 x^b2 y^c2, read from the H_beta
+        product table entry of a^a1 x^b1 y^c1 * a^a2 x^b2 y^c2."""
+        entry = self._products.get((k1, k2))
+        if entry is None:
+            p, qp = self.p, self.qp
+            (a1, b1, c1), (a2, b2, c2) = k1, k2
+            terms: dict[tuple[int, int, int], CycScalar] = {}
+            for mono, coeff in p._mono_mul(Monomial(a1, 0, 0, b1, c1), Monomial(a2, 0, 0, b2, c2)):
+                # the lifts' factor w^(a1+a2) s^(c1+c2) over the readback's w^i s^c
+                i = qp._a_exponent(mono)
+                scale = self._wpow[(a1 + a2 - i) % qp.N] * self._spow[c1 + c2 - mono.v]
+                _accum(terms, (i % p.n, mono.u, mono.v), coeff * scale)
+            entry = self._products[(k1, k2)] = tuple(terms.items())
+        return entry
 
     def weight_idempotents(self) -> list[dict]:
         """f_i = (1/n) sum_j (q^i g)^j inside the block.
@@ -912,8 +900,7 @@ class BlockAlgebra:
         total: dict[tuple[int, int, int], CycScalar] = {}
         for f in out:
             for key, val in f.items():
-                total[key] = total.get(key, p.zero) + val
-        total = {k: v for k, v in total.items() if not v.is_zero()}
+                _accum(total, key, val)
         if total != {(0, 0, 0): p.one}:
             raise PreconditionViolated("weight idempotents do not sum to 1")
         xm = {(0, 1, 0): p.one}

@@ -73,33 +73,28 @@ def parse_scalar_expr(text: str, p: AlgebraParams | None = None) -> CycScalar:
     if s.startswith("-") and not s[1:].lstrip("-").isdigit() and "/" not in s:
         neg = True
         s = s[1:]
-    base = None
-    exp = 1
-    if "^" in s:
-        s, etxt = s.split("^", 1)
-        exp = int(etxt)
-    if s == "q":
-        if p is None:
-            raise ParseError("q needs algebra parameters")
-        base = p.q
-    elif s == "sq":
-        if p is None:
-            raise ParseError("sq needs algebra parameters")
-        base = p.sqrt_q
-    elif s.startswith("z") and s[1:].isdigit():
-        base = root_of_unity(int(s[1:]), 1)
-    else:
-        try:
-            val = rational(Fraction(text.strip()))
-            return val
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"cannot parse scalar {text!r}") from None
+    s, power, etxt = s.partition("^")
+    if s in ("q", "sq") and p is None:
+        raise ParseError(f"{s} needs algebra parameters")
+    try:
+        exp = int(etxt) if power else 1
+        if s in ("q", "sq"):
+            base = p.q if s == "q" else p.sqrt_q
+        elif s.startswith("z") and s[1:].isdigit():
+            base = root_of_unity(int(s[1:]), 1)
+        else:
+            return rational(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        # a bad rational or exponent, or a root of order 0
+        raise ParseError(f"cannot parse scalar {text!r}") from None
     out = base**exp
     return -out if neg else out
 
 
 def parse_label(text: str, p: AlgebraParams) -> SimpleLabel:
     s = text.strip()
+    if "(" not in s or not s.endswith(")"):
+        raise ParseError(f"bad label {text!r}")
     open_idx = s.index("(")
     kind = s[:open_idx]
     r = None
@@ -110,24 +105,29 @@ def parse_label(text: str, p: AlgebraParams) -> SimpleLabel:
             kind = "Vr"
         else:
             raise ParseError(f"unknown module kind {kind!r}")
-    if not s.endswith(")"):
-        raise ParseError(f"bad label {text!r}")
     body = s[open_idx + 1 : -1]
     segments = [seg.strip() for seg in body.split(";")]
     scalars = [seg.strip() for seg in segments[0].split(",")]
     if len(scalars) != 3:
-        raise ParseError("labels need three scalars g1, gamma2, gamma3")
+        raise ParseError(f"label {text!r} needs three scalars g1, gamma2, gamma3")
     g1, gamma2, gamma3 = (parse_scalar_expr(t, p) for t in scalars)
-    i = int(segments[1]) if len(segments) > 1 and segments[1] else 0
+    i = _label_int(segments[1], text) if len(segments) > 1 and segments[1] else 0
     kseed = None
     for seg in segments[2:]:
         if seg.startswith("r="):
-            r = int(seg[2:])
+            r = _label_int(seg[2:], text)
         elif seg.startswith("k="):
             kseed = parse_scalar_expr(seg[2:], p)
         elif seg:
             raise ParseError(f"unknown label segment {seg!r}")
     return SimpleLabel(kind, g1, gamma2, gamma3, i, r=r, kseed=kseed)
+
+
+def _label_int(seg: str, text: str) -> int:
+    try:
+        return int(seg)
+    except ValueError:
+        raise ParseError(f"bad integer {seg!r} in label {text!r}") from None
 
 
 def make_params(args, beta_text=None) -> AlgebraParams:

@@ -171,6 +171,23 @@ def test_cli_usage_error(capsys):
     assert main(["fuse", "--n", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["fuse", "--left", "V0", "--right", "V0(1,1,1;0)"], "'V0'"),
+        (["fuse", "--left", "V0(1,1,1;x)", "--right", "V0(1,1,1;0)"], "'V0(1,1,1;x)'"),
+        (["fuse", "--left", "Vr(sq,1,1;0;r=)", "--right", "V0(1,1,1;0)"], "'Vr(sq,1,1;0;r=)'"),
+        (["build-module", "--kind", "V0", "--g1", "z0"], "'z0'"),
+        (["build-module", "--kind", "V0", "--g1", "q^x"], "'q^x'"),
+    ],
+    ids=["no-parenthesis", "bad-i", "empty-r", "root-order-0", "bad-exponent"],
+)
+def test_cli_parse_error_names_the_offending_text(capsys, args, named):
+    assert main([args[0], "--n", "3", "--n1", "1", *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_cli_library_arithmetic_error_is_a_failed_check(monkeypatch, capsys):
     """A math failure of the library exits 1 with a report, not a traceback."""
     import hopfsl2.cli as cli

@@ -6,6 +6,7 @@ import pytest
 
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
+from hopfsl2.fusion import fuse
 from hopfsl2.grothendieck import (
     GelakiContext,
     UnboundGenerator,
@@ -28,6 +29,16 @@ from hopfsl2.modules import SimpleLabel
 @pytest.fixture(scope="module")
 def pb3():
     return AlgebraParams(3, 1, beta=(0, 0, 1))
+
+
+def test_fuse_cache_keeps_apart_classes_that_differ_in_b_and_c_scalars():
+    """[V0(1, z3, 1; 0)] and [1] share a CanonLabel; a cached product of the
+    one must not answer for the other."""
+    p = AlgebraParams(3, 1)
+    label = SimpleLabel("V0", p.one, root_of_unity(3, 1), p.one, 0)
+    w = cls(p, label)
+    gr_mul(p, one(p), one(p))
+    assert gr_mul(p, w, w).as_dict() == fuse(p, label, label).as_dict()
 
 
 def test_g_power_and_unbound(pb3):

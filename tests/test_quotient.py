@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -226,3 +227,46 @@ def test_radical_check_degenerate_blocks():
     assert not b1.degenerate()
     with pytest.raises(PreconditionViolated):
         b1.radical_check()
+
+
+@pytest.mark.parametrize(
+    "n, beta, m, n2, n3",
+    [(4, (1, 1, 0), 1, 0, 0), (4, (1, 2, 1), 2, 1, 2), (3, (2, 1, 1), 2, 1, 1)],
+)
+def test_block_products_satisfy_the_weight_presentation(n, beta, m, n2, n3):
+    """g^n = 1, x^n = beta1', y^n = beta2', gx = q^-1 xg, gy = q yg and
+    yx - q^-n1 xy = cg g^(2 n1) + c0, in every block."""
+    N = n * (n - 1) * m
+    p = AlgebraParams(n, 1, beta=beta, extra_orders=(N,))
+    qp = QuotientParams(p, m=m, n2=n2, n3=n3)
+
+    def power(e, mul):
+        return reduce(mul, [e] * n)
+
+    def const(s):
+        return {} if s.is_zero() else {(0, 0, 0): s}
+
+    def plus(d1, d2, s):
+        """d1 + s d2, without zero terms."""
+        out = dict(d1)
+        for key, c in d2.items():
+            out[key] = out.get(key, p.zero) + s * c
+        return {key: c for key, c in out.items() if not c.is_zero()}
+
+    g, x, y = {(1, 0, 0): p.one}, {(0, 1, 0): p.one}, {(0, 0, 1): p.one}
+    for index in range(m * (n - 1)):
+        blk = BlockAlgebra(qp, index)
+        mul = blk.multiply
+        assert power(g, mul) == const(p.one)
+        assert power(x, mul) == const(blk.beta1p)
+        assert power(y, mul) == const(blk.beta2p)
+        assert plus(mul(g, x), mul(x, g), -p.qpow(-1)) == {}
+        assert plus(mul(g, y), mul(y, g), -p.q) == {}
+        comm = plus(mul(y, x), mul(x, y), -p.qpow(-p.n1))
+        rhs = plus(const(blk.c0), {((2 * p.n1) % n, 0, 0): p.one}, blk.cg)
+        assert comm == rhs
+        # the primed parameters are those of x' = x e and y' = s y e in the quotient
+        assert power(blk.x_elem, qp.mul) == blk.idem.scale(blk.beta1p)
+        assert power(blk.y_elem, qp.mul) == blk.idem.scale(blk.beta2p)
+        # beta3 != 0 normalizes the commutator to g^(2 n1) + c0
+        assert blk.cg == (p.zero if p.beta[2].is_zero() else p.one)
