@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .cyclo import CycScalar, _power, common_modulus, rational, root_of_unity
 
 if TYPE_CHECKING:
-    from .fusion import CanonLabel, CharacterBasis, FusionVector
+    from .fusion import CanonLabel, CharacterBasis, FusionVector, ModuleTraces
     from .modules import ModuleRep
 
 __all__ = [
@@ -250,11 +250,15 @@ class Caches:
     Module layer: `modules` maps modules.simple_key to the module that
     build_simple built, and `classes` maps it to that module's CanonLabel
     (grothendieck.cls).
-    Fusion layer: `character_bases` holds, per central character, the
-    candidate simples, their trace rows and the factorization of those rows
-    that decompose replays (fusion.candidate_simples), and `fuse` maps a
-    class pair to its fuse results, one per displays' (gamma2, gamma3)
-    (grothendieck.gr_mul).
+    Fusion layer: `traces` maps the id of each module in `modules` to its
+    fusion.ModuleTraces (its b, c and a^n scalars and its traces at j < 2n),
+    which fusion.class_of and every tensor product it is a factor of read;
+    `qbinomial_squares` holds [u choose k]_(q^n1)^2 for k <= u < n, the
+    coefficients of the tensor-product trace formula.  `character_bases`
+    holds, per central character, the candidate simples, their trace rows
+    and the factorization of those rows that decompose replays
+    (fusion.candidate_simples), and `fuse` maps a class pair to its fuse
+    results, one per displays' (gamma2, gamma3) (grothendieck.gr_mul).
     """
 
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
@@ -263,6 +267,8 @@ class Caches:
     antipode: dict[tuple[int, int], Element] = field(default_factory=dict)
     modules: dict[tuple, ModuleRep] = field(default_factory=dict)
     classes: dict[tuple, CanonLabel] = field(default_factory=dict)
+    traces: dict[int, ModuleTraces] = field(default_factory=dict)
+    qbinomial_squares: list[list[CycScalar]] = field(default_factory=list)
     character_bases: dict[tuple, CharacterBasis] = field(default_factory=dict)
     fuse: dict[tuple, list[tuple[tuple, FusionVector]]] = field(default_factory=dict)
 
@@ -685,6 +691,7 @@ class QuotientParams:
                 f"working modulus {p.M} lacks an N-th root of unity (N={self.N}); "
                 "construct AlgebraParams with extra_orders=(N,)"
             )
+        self._idempotents: list[Element] | None = None
 
     def reduce(self, e: Element) -> Element:
         """Substitute b -> a^(n m n2), c -> a^(m n n3) and fold a-exponents mod N."""
@@ -723,7 +730,14 @@ class QuotientParams:
         """e_i = (1/(m(n-1))) sum_j (omega^i a^n)^j, i = 0..m(n-1)-1.
 
         Orthogonality, completeness and centrality against a, x, y are
-        verified exactly; a failure raises PreconditionViolated."""
+        verified exactly; a failure raises PreconditionViolated.  They are
+        built and verified once: every call returns the same list (callers
+        do not change it)."""
+        if self._idempotents is None:
+            self._idempotents = self._verified_idempotents()
+        return self._idempotents
+
+    def _verified_idempotents(self) -> list[Element]:
         p = self.p
         d = self.m * (p.n - 1)
         omega = self.omega()

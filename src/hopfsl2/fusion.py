@@ -9,6 +9,31 @@ principle: trace functions determine composition factors).
   and every tensor product of simples; trace_vector then forms only the
   diagonal of x^u y^u and sums it over the a-weight spaces, and the traces
   are power sums of the weights.  A non-diagonal a takes the dense products.
+  trace_vector traces a module's own matrices; on a tensor product that is
+  the materialised path, which the test oracles use.
+* Tensor products from their factors.  tensor() keeps the factors V and W
+  and builds the five matrices of V (x) W only when they are read.
+  decompose reads its numbers from the factors instead: b, c and a are
+  group-like, so b, c and a^n act on V (x) W by the products of the
+  factors' scalars, and its n^2 trace rows come from the factors' rows:
+
+      tr_VW(a^j x^u y^u) = sum_(k=0..u) [u choose k]_Q^2 (gamma2 gamma3)^(u-k)
+                           tr_V(a^j x^k y^k) tr_W(a^(j + 2 n1 k) x^(u-k) y^(u-k))
+
+  with Q = q^n1 and gamma2, gamma3 the scalars of b, c on V; on W, a^n acts
+  as gamma1(W), so a^e reads as gamma1(W)^(e div n) a^(e mod n).  Proof.
+  Delta(x) = X1 + X2 with X1 = x (x) a^n1 and X2 = b (x) x, and X2 X1 =
+  Q X1 X2 (b is central and x a^n1 = Q a^n1 x), so the q-binomial theorem
+  for q-commuting summands (Kassel, Quantum Groups, Prop. IV.2.2) gives
+  x^u = sum_k [u choose k]_Q X1^k X2^(u-k), and likewise y^u = sum_l
+  [u choose l]_(Q^-1) Y1^l Y2^(u-l) with Y1 = y (x) a^n1, Y2 = c (x) y.
+  The term (k, l) acts on V by gamma2^(u-k) gamma3^(u-l) a^j x^k y^l,
+  which conjugation by a scales by q^(l-k) != 1 for k != l (|l - k| < n),
+  so its trace is 0.  At k = l it acts on W by a^(j + n1 k) x^(u-k)
+  a^(n1 k) y^(u-k) = q^(n1 k (u-k)) a^(j + 2 n1 k) x^(u-k) y^(u-k), and
+  [u choose k]_(Q^-1) = Q^(-k (u-k)) [u choose k]_Q cancels that phase.
+  A built simple's scalars and traces are made once per AlgebraParams and
+  shared with class_of; the squared q-binomials are made once too.
 * One trace basis per character.  The candidates of a central character and
   their trace rows are computed once and kept in a CharacterBasis owned by
   the AlgebraParams; the traces at j < 2n also give each candidate's
@@ -48,6 +73,7 @@ from .modules import (
     build_VII,
     build_Vr,
     kind_conditions,
+    simple_key,
     solve_k_seed,
     verify_module,
 )
@@ -59,6 +85,8 @@ __all__ = [
     "CharacterBasis",
     "Factorization",
     "FusionVector",
+    "ModuleTraces",
+    "TensorProduct",
     "tensor",
     "candidate_simples",
     "decompose",
@@ -159,23 +187,59 @@ class FusionVector:
 # -- tensor product ----------------------------------------------------------
 
 
-def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -> ModuleRep:
-    """Module structure on m1 (x) m2 through the coproduct."""
-    try:
-        zero = field_zero(p.zero, m1.zero_scalar(), m2.zero_scalar())
-    except TypeError:
-        raise RankDeficient("factors live over incompatible towers") from None
+class TensorProduct(ModuleRep):
+    """m1 (x) m2 through the coproduct: a ModuleRep that keeps its two factors.
+
+    `zero` is the zero of the one field that holds both factors.  The five
+    dim x dim matrices are built on the first read of `mats` (or `mat`);
+    decompose reads the scalars and traces of the product from its factors
+    instead, so a fuse never builds them.
+    """
+
+    def __init__(self, p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, zero):
+        self.dim = m1.dim * m2.dim
+        self.label = ("tensor", m1.label, m2.label)
+        self.params = p
+        self.factors = (m1, m2)
+        self.zero = zero
+        self._mats = None
+
+    @property
+    def mats(self):
+        if self._mats is None:
+            self._mats = _tensor_mats(self.params, *self.factors, self.zero)
+        return self._mats
+
+    def zero_scalar(self):
+        return self.zero
+
+
+def _tensor_mats(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, zero) -> dict:
+    """The images of a, b, c, x, y on m1 (x) m2, over the field of `zero`."""
     mats1 = {g: [[lift(x, zero) for x in row] for row in m1.mat(g)] for g in "abcxy"}
     mats2 = {g: [[lift(x, zero) for x in row] for row in m2.mat(g)] for g in "abcxy"}
     a2n1 = mat_pow(mats2["a"], p.n1)
-    mats = {
+    return {
         "a": kron(mats1["a"], mats2["a"]),
         "b": kron(mats1["b"], mats2["b"]),
         "c": kron(mats1["c"], mats2["c"]),
         "x": mat_add(kron(mats1["x"], a2n1), kron(mats1["b"], mats2["x"])),
         "y": mat_add(kron(mats1["y"], a2n1), kron(mats1["c"], mats2["y"])),
     }
-    out = ModuleRep(m1.dim * m2.dim, mats, ("tensor", m1.label, m2.label), p)
+
+
+def tensor(p: AlgebraParams, m1: ModuleRep, m2: ModuleRep, check: bool = True) -> TensorProduct:
+    """Module structure on m1 (x) m2 through the coproduct.
+
+    The factors' fields are checked here (RankDeficient when no tower holds
+    both); the matrices are built on first read, or here when `check` asks
+    verify_module for them.
+    """
+    try:
+        zero = field_zero(p.zero, m1.zero_scalar(), m2.zero_scalar())
+    except TypeError:
+        raise RankDeficient("factors live over incompatible towers") from None
+    out = TensorProduct(p, m1, m2, zero)
     if check:
         bad = verify_module(p, out)
         if bad:
@@ -262,6 +326,108 @@ def _dense_traces(p: AlgebraParams, m: ModuleRep, jmax: int):
             mat = apow if xyu[u] is None else mat_mul(apow, xyu[u])
             out.append(trace(mat))
         apow = mat_mul(apow, A)
+    return out
+
+
+@dataclass(frozen=True)
+class ModuleTraces:
+    """The numbers of a module that decompose and class_of read.
+
+    `gamma2`, `gamma3` and `gamma1` are the scalars by which b, c and a^n
+    act, and `traces` is trace_vector(p, m, 2n); its first n^2 entries are
+    the module's trace rows.
+    """
+
+    gamma2: object
+    gamma3: object
+    gamma1: object
+    traces: list
+
+
+def _built_traces(p: AlgebraParams, m: ModuleRep) -> ModuleTraces | None:
+    """The ModuleTraces of m when m is the module build_simple built for its
+    label, else None.
+
+    They are made once and kept in `p.caches.traces`, keyed by id(m): a
+    built module stays in `p.caches.modules` as long as p lives, so its id
+    is not reused while the entry exists.
+    """
+    known = p.caches.traces.get(id(m))
+    if known is None:
+        if not isinstance(m.label, SimpleLabel) or p.caches.modules.get(simple_key(p, m.label)) is not m:
+            return None
+        known = p.caches.traces[id(m)] = ModuleTraces(
+            _scalar_action(m.mat("b"), "b"),
+            _scalar_action(m.mat("c"), "c"),
+            _power_action(p, m.mat("a")),
+            trace_vector(p, m, 2 * p.n),
+        )
+    return known
+
+
+def _action(p: AlgebraParams, m: ModuleRep, g: str):
+    """The scalar by which g (b, c or a^n) acts on m; WrongType when it acts
+    by no scalar.  b, c and a are group-like, so on a tensor product it is
+    the product of the factors' scalars."""
+    if isinstance(m, TensorProduct):
+        v, w = m.factors
+        return lift(_action(p, v, g), m.zero) * lift(_action(p, w, g), m.zero)
+    known = _built_traces(p, m)
+    if known is not None:
+        return {"b": known.gamma2, "c": known.gamma3, "a^n": known.gamma1}[g]
+    return _power_action(p, m.mat("a")) if g == "a^n" else _scalar_action(m.mat(g), g)
+
+
+def _trace_rows(p: AlgebraParams, m: ModuleRep) -> list:
+    """The n^2 trace rows of m, tr(a^j x^u y^u) for j < n, row-major in
+    (j, u); a tensor product reads them from its factors' rows."""
+    if isinstance(m, TensorProduct):
+        return _tensor_rows(p, m)
+    known = _built_traces(p, m)
+    return known.traces[: p.n * p.n] if known is not None else trace_vector(p, m, p.n)
+
+
+def _qbinomial_squares(p: AlgebraParams) -> list:
+    """[u choose k]_Q^2 at [u][k] for 0 <= k <= u < n, Q = q^n1; made once
+    per AlgebraParams and kept in `p.caches.qbinomial_squares`."""
+    table = p.caches.qbinomial_squares
+    if not table:
+        Q = p.qpow(p.n1)
+        rows = [[p.one]]
+        for u in range(1, p.n):
+            prev = rows[-1]
+            # [u choose k] = [u-1 choose k-1] + Q^k [u-1 choose k]
+            rows.append([p.one] + [prev[k - 1] + Q**k * prev[k] for k in range(1, u)] + [p.one])
+        table.extend([c * c for c in row] for row in rows)
+    return table
+
+
+def _tensor_rows(p: AlgebraParams, m: TensorProduct) -> list:
+    """The n^2 trace rows of V (x) W from the factors' rows, by the q-binomial
+    formula of the module docstring; about n^3 / 2 products of scalars."""
+    v, w = m.factors
+    n, n1, zero = p.n, p.n1, m.zero
+    tv = [lift(t, zero) for t in _trace_rows(p, v)]
+    tw = [lift(t, zero) for t in _trace_rows(p, w)]
+    # W's traces at a^e for e < n + 2 n1 (n - 1): a^n acts on W as gamma1(W)
+    gamma1_w = lift(_action(p, w, "a^n"), zero)
+    while len(tw) < (n + 2 * n1 * (n - 1)) * n:
+        tw.extend(t if t.is_zero() else gamma1_w * t for t in tw[-n * n :])
+    # coef[u][k] = [u choose k]_(q^n1)^2 (gamma2 gamma3)^(u-k), gammas of V
+    g23 = lift(_action(p, v, "b") * _action(p, v, "c"), zero)
+    g23_pows = [zero.one()]
+    for _ in range(1, n):
+        g23_pows.append(g23_pows[-1] * g23)
+    coef = [[lift(c, zero) * g23_pows[u - k] for k, c in enumerate(row)] for u, row in enumerate(_qbinomial_squares(p))]
+    out = []
+    for j in range(n):
+        for u in range(n):
+            acc = zero
+            for k in range(u + 1):
+                x, y = tv[j * n + k], tw[(j + 2 * n1 * k) * n + u - k]
+                if not (x.is_zero() or y.is_zero() or coef[u][k].is_zero()):
+                    acc = acc + coef[u][k] * x * y
+            out.append(acc)
     return out
 
 
@@ -388,6 +554,15 @@ def _scalar_action(mat, name: str):
     return s
 
 
+def _power_action(p: AlgebraParams, A):
+    """The scalar by which a^n acts when a acts by A; WrongType when it is
+    not a scalar.  A diagonal A, as on every simple, has only its diagonal
+    powered."""
+    if any(not x.is_zero() for i, row in enumerate(A) for k, x in enumerate(row) if i != k):
+        return _scalar_action(mat_pow(A, p.n), "a^n")
+    return _scalar_action([[x**p.n if i == k else x for k, x in enumerate(row)] for i, row in enumerate(A)], "a^n")
+
+
 def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     """Composition multiplicities of m by exact trace matching.
 
@@ -396,11 +571,10 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     that scalar on m and on every candidate, the n^2 trace rows at j < n
     decide rank, consistency and the multiplicities: the character's
     factorization of its candidate block, made once, is replayed on them in
-    the candidates' field.
+    the candidates' field.  A TensorProduct's scalars and trace rows are
+    read from its factors', and its matrices are not built.
     """
-    gamma2 = _scalar_action(m.mat("b"), "b")
-    gamma3 = _scalar_action(m.mat("c"), "c")
-    gamma1 = _scalar_action(mat_pow(m.mat("a"), p.n), "a^n")
+    gamma2, gamma3, gamma1 = (_action(p, m, g) for g in ("b", "c", "a^n"))
     g1n = p.scalar(g1)
     if not (lift(g1n, m.zero_scalar()) ** p.n - gamma1).is_zero():
         raise WrongType("g1^n does not match the a^n scalar")
@@ -412,7 +586,7 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
         cands = CharacterBasis(cands, {lab: trace_vector(p, cm, p.n) for lab, cm in cands})
     plan = cands.factorize(p)
     try:
-        traces = [read_in(t, plan.zero) for t in trace_vector(p, m, p.n)]
+        traces = [read_in(t, plan.zero) for t in _trace_rows(p, m)]
     except TypeError:
         raise RankDeficient("candidates live over incompatible towers") from None
     ncand = len(cands)
@@ -435,8 +609,11 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
 
 
 def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
-    """CanonLabel of a simple module."""
-    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in trace_vector(p, m, 2 * p.n)), m.label)
+    """CanonLabel of a simple module; a built simple's traces are shared with
+    the tensor products it is a factor of."""
+    known = _built_traces(p, m)
+    traces = known.traces if known is not None else trace_vector(p, m, 2 * p.n)
+    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in traces), m.label)
 
 
 def fuse(p: AlgebraParams, l1: SimpleLabel, l2: SimpleLabel) -> FusionVector:

@@ -4,6 +4,9 @@ Matrices are plain lists of lists of scalars (CycScalar or ExtScalar); every
 routine is exact Gaussian elimination, no pivot heuristics beyond "first
 nonzero".  Dimensions in this package stay small (simple modules have
 dimension <= n, tensor products <= n^2), so no sparsity machinery is used.
+A fuse forms no tensor-product matrices: decompose reads the product's
+traces from its factors' (see fusion), and kron serves only the matrices
+that fusion.tensor builds when they are read.
 """
 
 from __future__ import annotations

@@ -121,6 +121,12 @@ class SimpleLabel:
 
 @dataclass
 class ModuleRep:
+    """A module as the five dim x dim matrices `mats` of a, b, c, x, y.
+
+    fusion.tensor returns a subclass, fusion.TensorProduct, that keeps its
+    two factors and builds `mats` on first read.
+    """
+
     dim: int
     mats: dict
     label: object

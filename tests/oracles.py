@@ -8,6 +8,8 @@ Fraction coefficients and folds into the Phi_M basis only at the end, so it
 shares no code with the integer-vector arithmetic of hopfsl2.cyclo.  The
 reference decomposition at the very end eliminates on all 2n*n trace rows,
 re-traced per call, where fusion.decompose keeps only the n^2 rows at j < n.
+The reference tensor traces trace the materialised tensor product, where
+fusion.decompose reads them from the factors' traces.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from hopfsl2.algebra import Element, Monomial
 from hopfsl2.cyclo import CycScalar
 from hopfsl2.extfield import base_constant, field_zero, lift
-from hopfsl2.fusion import FusionVector, NoIntegerSolution, RankDeficient, candidate_simples, trace_vector
+from hopfsl2.fusion import FusionVector, NoIntegerSolution, RankDeficient, candidate_simples, tensor, trace_vector
 from hopfsl2.linalg import rref
 
 
@@ -272,3 +274,9 @@ def reference_decompose(p, m, g1):
             raise NoIntegerSolution(f"non-integer multiplicity {x!r}")
         mults.append(int(x.as_fraction()))
     return FusionVector({lab: k for k, (lab, _) in zip(mults, cands) if k})
+
+
+def reference_tensor_traces(p, m1, m2):
+    """The n^2 trace rows of m1 (x) m2 (traces of a^j x^u y^u at j < n):
+    trace_vector reads, and so builds, the product's own matrices."""
+    return trace_vector(p, tensor(p, m1, m2, check=False), p.n)

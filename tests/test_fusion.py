@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -35,11 +36,12 @@ from hopfsl2.modules import (
     build_VII,
     build_Vr,
     dual_module,
+    kind_conditions,
     modules_isomorphic,
     solve_k_seed,
     verify_module,
 )
-from oracles import reference_decompose
+from oracles import reference_decompose, reference_tensor_traces
 
 
 @pytest.fixture(scope="module")
@@ -641,3 +643,105 @@ def test_decompose_preconditions_raise_wrong_type(pb3):
             decompose(p, module, m.label.g1)
     with pytest.raises(WrongType, match="g1\\^n does not match the a\\^n scalar"):
         decompose(p, m, -p.one)
+
+
+# -- tensor-product traces from the factors' traces ----------------------------
+
+
+def _one_module_per_kind(n, n1, beta):
+    """(params, {kind: module}): build_simple of one candidate per kind, from
+    the first character of each of the classes V0/Vr, VI and VII that
+    builds.  The characters are
+    scanned over g1 in mu_(n^2) and gamma2, gamma3 in {1, zeta_(n^2)}, and a
+    VI character with a nonzero seed target is passed over, so every k-seed
+    is exact and no tower is built."""
+    p = AlgebraParams(n, n1, beta=beta, extra_orders=(n * n,))
+    found, built = {}, set()
+    classes = {"V0/Vr", *(["VI"] if beta[0] else []), *(["VII"] if beta[1] else [])}
+    for e2, e3, e1 in itertools.product((0, 1), (0, 1), range(n * n)):
+        if built == classes:
+            break
+        g1, gamma2, gamma3 = (root_of_unity(n * n, e) for e in (e1, e2, e3))
+        b1, b2, _b3, _mu = kind_conditions(p, g1, gamma2, gamma3, 0)
+        if not (b1.is_zero() or b2.is_zero()):
+            continue
+        kinds = "VI" if not b1.is_zero() else "VII" if not b2.is_zero() else "V0/Vr"
+        if kinds in built:
+            continue
+        try:
+            cands = candidate_simples(p, g1, gamma2, gamma3)
+        except (ArithmeticError, ValueError):
+            continue  # e.g. a V_r whose r falls outside [2, t]
+        built.add(kinds)
+        for _, m in cands:
+            if m.label.kind not in found:
+                found[m.label.kind] = build_simple(p, m.label)
+    return p, found
+
+
+def _assert_rows_match_reference(p, v, w):
+    """The n^2 traces decompose reads of v (x) w equal the oracle's, key for
+    key, and reading them builds none of the product's matrices."""
+    mt = tensor(p, v, w, check=False)
+    rows = fusion._trace_rows(p, mt)
+    assert mt._mats is None
+    assert [t.key() for t in rows] == [t.key() for t in reference_tensor_traces(p, v, w)], (v.label, w.label)
+
+
+def test_tensor_traces_from_the_factors_match_the_materialised_product():
+    """The q-binomial formula equals trace_vector of the materialised tensor
+    product on every ordered pair of kinds over n <= 5, n1 in {1, 2, 3} and
+    beta in {0,1}^3; on the VI factors of the thm5.19 point, which live in a
+    nested tower; and with a factor conjugated so that a is not diagonal."""
+    kind_pairs = set()
+    for n, n1, beta in itertools.product(range(2, 6), (1, 2, 3), itertools.product((0, 1), repeat=3)):
+        p, found = _one_module_per_kind(n, n1, beta)
+        for v, w in itertools.product(found.values(), repeat=2):
+            _assert_rows_match_reference(p, v, w)
+            kind_pairs.add((v.label.kind, w.label.kind))
+    assert kind_pairs == set(itertools.product(("V0", "Vr", "VI", "VII"), repeat=2))
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    (_, c0), (_, c1), _ = candidate_simples(p, z9, p.one, p.one)
+    assert all(isinstance(c.zero_scalar(), ExtScalar) for c in (c0, c1))
+    triv = build_V0(p, 1, 1, 1, 0)
+    for v, w in [(c0, c1), (c1, c0), (c0, c0), (c0, triv), (triv, c1)]:
+        _assert_rows_match_reference(p, v, w)
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    z2, z3 = build_simple(p, z2_label(p)), build_simple(p, z3_label(p))
+    one = p.one
+    P = [[one if j >= i else p.zero for j in range(3)] for i in range(3)]
+    conj = _conjugate(z3, P, mat_inv(P))
+    for v, w in [(conj, z2), (z2, conj), (conj, conj)]:
+        _assert_rows_match_reference(p, v, w)
+
+
+def test_fuse_builds_no_tensor_matrices(monkeypatch):
+    """Once its factors are built, fuse(z7, z7) calls neither kron nor
+    mat_pow: decompose reads the product's scalars and traces from the
+    factors.  Its result is that of the oracle on the 49-dimensional
+    matrices."""
+    p = AlgebraParams(7, 1, beta=(0, 0, 1))
+    z7 = canonical_zr_label(p, 7)
+    m = build_simple(p, z7)
+    calls = []
+    for name in ("kron", "mat_pow"):
+        real = getattr(fusion, name)
+        monkeypatch.setattr(fusion, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    fv = fuse(p, z7, z7)
+    assert calls == []
+    monkeypatch.undo()
+    assert fv.total_dim() == 49
+    assert fv == reference_decompose(p, tensor(p, m, m, check=False), m.label.g1 * m.label.g1)
+
+
+def test_tensor_check_still_verifies_the_product(pb3):
+    """tensor(check=True) builds the product's matrices and verifies them:
+    a factor with x doubled gives a product that is not a module."""
+    p = pb3
+    m = build_simple(p, z3_label(p))
+    doubled = ModuleRep(m.dim, {**m.mats, "x": [[x + x for x in row] for row in m.mat("x")]}, m.label, p)
+    assert verify_module(p, doubled)
+    with pytest.raises(WrongType, match="tensor product violates relations"):
+        tensor(p, doubled, m)
+    assert verify_module(p, tensor(p, m, m)) == []

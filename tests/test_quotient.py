@@ -52,6 +52,19 @@ def test_quotient_basis_dimension(qp32):
     assert len(seen) == qp32.N * p.n**2 == p.n**3 * (p.n - 1) * qp32.m
 
 
+def test_central_idempotents_are_built_and_verified_once(monkeypatch):
+    """Every block of one QuotientParams reads the same verified list."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 0), extra_orders=(12,))
+    qp = QuotientParams(p, m=2, n2=1, n3=1)
+    builds = []
+    build = qp._verified_idempotents
+    monkeypatch.setattr(qp, "_verified_idempotents", lambda: builds.append(1) or build())
+    idems = qp.central_idempotents()
+    blocks = [BlockAlgebra(qp, index) for index in range(len(idems))]
+    assert builds == [1] and qp.central_idempotents() is idems
+    assert [blk.idem for blk in blocks] == idems
+
+
 def test_central_idempotents(qp32):
     p = qp32.p
     idems = qp32.central_idempotents()
