@@ -417,12 +417,19 @@ class CycScalar(_ScalarOps):
         return hash(Fraction(sum(x * w for x, w in zip(self.num, weights) if x), wden * self.den))
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The coordinates in the basis 1, zeta_m, ..., as Fractions."""
+        """The coordinates in the basis 1, zeta_m, ..., as Fractions (the
+        form the text output prints; key() compares as it does)."""
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
 
     def key(self):
-        """Canonical sort/identity key within a fixed modulus."""
+        """Canonical sort/identity key within a fixed modulus: (m, num) when
+        den == 1, else (m, coefficients()).  An int equals, hashes and orders
+        as the Fraction of the same value, so both forms agree with
+        (m, coefficients()) under ==, hash and <; the integer form builds no
+        Fraction."""
+        if self.den == 1:
+            return (self.m, self.num)
         return (self.m, self.coefficients())
 
     # -- root-of-unity structure ---------------------------------------

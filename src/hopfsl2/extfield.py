@@ -398,21 +398,65 @@ def find_field_roots(coeffs):
     return roots, work
 
 
+def _poly_divmod(f, g):
+    """(quotient, remainder) of f by g over a field: little-endian lists, g
+    with a nonzero top coefficient, the remainder with no zero top."""
+    dg = len(g) - 1
+    r = list(f)
+    inv = g[-1].inv()
+    q = [None] * max(len(r) - dg, 0)
+    for e in range(len(r) - 1, dg - 1, -1):
+        c = q[e - dg] = r[e] * inv
+        if not c.is_zero():
+            for i in range(dg + 1):
+                r[e - dg + i] = r[e - dg + i] - c * g[i]
+    r = r[:dg]
+    while r and r[-1].is_zero():
+        r.pop()
+    return q, r
+
+
+def _squarefree_part(f):
+    """f / gcd(f, f') for a monic f of degree >= 1, made monic: each distinct
+    root of f once.  Exact Euclid over f's coefficient field (characteristic
+    0, so f' != 0), with no factoring."""
+    a, b = f, [c * i for i, c in enumerate(f)][1:]
+    while len(b) > 1:
+        a, b = b, _poly_divmod(a, b)[1]
+    if b:
+        # a nonzero constant remainder: f and f' are coprime (stopping here
+        # saves inverting it, which over a deep tower is a costly xgcd)
+        return f
+    q, _r = _poly_divmod(f, a)
+    lead = q[-1].inv()
+    return [c * lead for c in q]
+
+
 def split_roots(coeffs):
     """Factor the polynomial completely, adjoining tower steps as needed.
 
     Returns (roots, sample) with every root in the field of `sample` (the
-    input field, or a tower over it).
+    input field, or a tower over it).  The roots are distinct: a root found
+    in a field is kept once however often it divides, and before a tower
+    level is adjoined the leftover polynomial is replaced by its squarefree
+    part, so the level's polynomial has no repeated root.
     """
     work = list(coeffs)
     roots: list = []
     while True:
         found, work = find_field_roots(work)
-        roots.extend(found)
+        for r in found:
+            if r not in roots:
+                roots.append(r)
         if len(work) <= 1:
             return roots, (roots[0] if roots else coeffs[0])
         lead = work[-1]
         monic = [c * lead.inv() for c in work]
+        squarefree = _squarefree_part(monic)
+        if len(squarefree) < len(monic):
+            # a repeated root: scan the squarefree part for field roots again
+            work = squarefree
+            continue
         if isinstance(monic[0], CycScalar):
             # uniformize moduli so the tower base is a single cyclotomic field
             mm = math.lcm(*(c.m for c in monic), *(r.m for r in roots if isinstance(r, CycScalar)))

@@ -118,7 +118,7 @@ class CanonLabel:
     fingerprint: tuple
     display: SimpleLabel = field(default=None, compare=False)
     # labels key the dicts of fusion and Grothendieck-ring products, and the
-    # fingerprint nests Fraction tuples: hash it once, at construction
+    # fingerprint nests one scalar key per trace: hash it once, at construction
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -888,7 +888,9 @@ class GelakiContext:
         V_I/V_II by central character only.  Several non-isomorphic
         seed-classes can share a coarse key; canonical bijections between
         contexts work at this level and the comparison verifies cell
-        consistency across representatives.
+        consistency across representatives.  A coarse key holds its
+        scalar as (m, coefficients()), the Fraction form that
+        compare_fusion_rings prints.
         """
         p = self.p
         out = []
@@ -902,13 +904,13 @@ class GelakiContext:
                 seen.add(lab.fingerprint)
                 if lab.kind == "V0":
                     mu = lab.display.g1 * p.qpow(lab.display.i)
-                    key = ("V0", mu.key())
+                    key = ("V0", (mu.m, mu.coefficients()))
                 elif lab.kind == "Vr":
                     mu = lab.display.g1 * p.qpow(lab.display.i)
-                    key = ("Vr", mu.key(), lab.display.r)
+                    key = ("Vr", (mu.m, mu.coefficients()), lab.display.r)
                 else:
                     gamma1 = lab.display.g1**p.n
-                    key = (lab.kind, gamma1.key())
+                    key = (lab.kind, (gamma1.m, gamma1.coefficients()))
                 out.append((lab, key))
         return out
 

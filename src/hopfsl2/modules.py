@@ -413,9 +413,9 @@ def solve_k_seed(
     When the constraint target is zero the polynomial is a product of affine
     forms and every root is written down exactly.  Otherwise roots are found
     by the candidate scan; with allow_extension=True the polynomial is split
-    completely over an extension tower and all n roots are returned (in that
-    tower's field).  Raises FieldTooSmall when no in-field root is found and
-    extensions are off.
+    completely over an extension tower and its distinct roots are returned
+    (in that tower's field; all n when it is squarefree).  Raises
+    FieldTooSmall when no in-field root is found and extensions are off.
     """
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     target = b2 if kind == "VI" else b1

@@ -133,6 +133,15 @@ def test_cli_verify_relations_suite(capsys):
     assert code == 0 and rep["pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["thm5.15", "thm5.19"])
+def test_cli_verify_relations_over_a_repeated_root_seed(capsys, suite):
+    # at n = 6, beta (1,1,1) the VI/VII seed sextics are squares of cubics
+    code, rep = run_cli(
+        capsys, "verify-relations", "--suite", suite, "--n", "6", "--n1", "1", "--beta", "1,1,1",
+    )
+    assert code == 0 and rep["pass"] is True
+
+
 def test_cli_integral_and_idempotents(capsys, tmp_path):
     code, rep = run_cli(
         capsys, "integral-check", "--n", "3", "--n1", "1", "--beta", "1,1,1", "--m", "1",

@@ -17,7 +17,7 @@ from hopfsl2.cyclo import (
     rational,
     root_of_unity,
 )
-from hopfsl2.extfield import ExtScalar
+from hopfsl2.extfield import ExtScalar, Tower
 from hopfsl2.modules import solve_k_seed
 
 
@@ -293,5 +293,73 @@ def test_hash_agrees_with_equality_property():
         assert (x == y) == (x.coefficients() == y.coefficients())
         if x == y:
             assert hash(x) == hash(y)
+
+    check()
+
+
+def _reference_key(x):
+    """key() with Fraction coordinates throughout: fingerprints and sort
+    orders must compare, hash and order as this form does."""
+    if isinstance(x, CycScalar):
+        return (x.m, x.coefficients())
+    return (("tower", tuple(_reference_key(c) for c in x.tower.minpoly)), tuple(_reference_key(c) for c in x.c))
+
+
+def _holds_fraction(key):
+    if isinstance(key, tuple):
+        return any(_holds_fraction(k) for k in key)
+    return isinstance(key, Fraction)
+
+
+def _assert_key_contract(xs):
+    for x in xs:
+        k, ref = x.key(), _reference_key(x)
+        assert k == ref and hash(k) == hash(ref)
+    for x in xs:
+        for y in xs:
+            assert (x.key() < y.key()) == (_reference_key(x) < _reference_key(y))
+            assert (x.key() == y.key()) == (x == y)
+
+
+def test_key_agrees_with_fraction_coefficients_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    integral = st.integers(min_value=-30, max_value=30)
+    fractional = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+    def scalars(m):
+        phi = euler_phi(m)
+        # den == 1 and den != 1 both, at one modulus so that < compares them
+        return st.lists(
+            st.one_of(st.lists(integral, min_size=phi, max_size=phi), st.lists(fractional, min_size=phi, max_size=phi)),
+            min_size=2,
+            max_size=4,
+        ).map(lambda rows: [CycScalar(m, row) for row in rows])
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=150)
+    @hypothesis.given(st.sampled_from(MODULI).flatmap(scalars))
+    def check(xs):
+        _assert_key_contract(xs)
+        for x in xs:
+            assert _holds_fraction(x.key()) == (x.den != 1)
+
+    check()
+
+
+def test_tower_key_agrees_with_fraction_coefficients_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    m = 6
+    tower = Tower.make(tuple(rational(c, m) for c in (-2, 0, 0, 1)))  # Q(zeta_6, 2^(1/3))
+    coeff = st.one_of(st.integers(min_value=-5, max_value=5), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    base = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(lambda row: CycScalar(m, row))
+    ext = st.lists(base, min_size=tower.degree, max_size=tower.degree).map(lambda c: ExtScalar(tower, c))
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=60)
+    @hypothesis.given(st.lists(ext, min_size=2, max_size=3))
+    def check(xs):
+        _assert_key_contract(xs)
+        for x in xs:  # the tower's minimal polynomial is integral
+            assert _holds_fraction(x.key()) == any(c.den != 1 for c in x.c)
 
     check()

@@ -1,12 +1,14 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hopfsl2 import cyclo
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
-from hopfsl2.fusion import fuse
+from hopfsl2.fusion import FusionVector, candidate_simples, fuse
 from hopfsl2.grothendieck import (
     GelakiContext,
     UnboundGenerator,
@@ -39,6 +41,32 @@ def test_fuse_cache_keeps_apart_classes_that_differ_in_b_and_c_scalars():
     w = cls(p, label)
     gr_mul(p, one(p), one(p))
     assert gr_mul(p, w, w).as_dict() == fuse(p, label, label).as_dict()
+
+
+def test_integral_keys_make_no_fraction(monkeypatch):
+    """A candidate basis at an integer-trace character, and a fuse-cache hit
+    whose stored key is an equal label of another object, build no Fraction:
+    integral scalars key on their numerators."""
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    monkeypatch.setattr(cyclo, "Fraction", CountingFraction)
+    basis = candidate_simples(p, p.one, p.one, p.one)
+    assert made == []
+    monkeypatch.undo()
+    label = basis[-1][0]
+    w = cls(p, label.display)
+    assert next(iter(w.entries)) is not label
+    want = gr_mul(p, w, w)
+    monkeypatch.setattr(cyclo, "Fraction", CountingFraction)
+    got = gr_mul(p, FusionVector({label: 1}), FusionVector({label: 1}))
+    assert made == []
+    assert got.as_dict() == want.as_dict()
 
 
 def test_g_power_and_unbound(pb3):

@@ -1,8 +1,8 @@
 import pytest
 
 from hopfsl2.algebra import AlgebraParams
-from hopfsl2.cyclo import root_of_unity
-from hopfsl2.extfield import ExtScalar
+from hopfsl2.cyclo import CycScalar, rational, root_of_unity
+from hopfsl2.extfield import ExtScalar, split_roots
 from hopfsl2.modules import (
     ParameterConstraint,
     SeedConstraintViolated,
@@ -168,6 +168,25 @@ def test_solve_k_seed_extension():
     assert any(isinstance(s, ExtScalar) for s in seeds)
     m = build_VI(p, minus1, 1, 1, 0, seeds[0])
     assert verify_module(p, m) == [] and is_simple(p, m)
+
+
+@pytest.mark.parametrize(
+    "coeffs, in_field",
+    [
+        ((4, 0, 0, -4, 0, 0, 1), []),  # (x^3 - 2)^2
+        ((4, -8, 4, -4, 8, -4, 1, -2, 1), [1]),  # (x - 1)^2 (x^3 - 2)^2
+    ],
+)
+def test_split_roots_returns_distinct_roots(coeffs, in_field):
+    """Over Q(zeta_6) = Q(zeta_3): a repeated field root once, and three
+    distinct cube roots of 2 in a cubic tower, not a degree-6 level with
+    zero divisors."""
+    roots, sample = split_roots([rational(c, 6) for c in coeffs])
+    assert sample.tower.degree == 3 and isinstance(sample.tower.base_zero(), CycScalar)
+    assert roots[: len(in_field)] == in_field
+    cube_roots = roots[len(in_field):]
+    assert len(cube_roots) == 3 and all(r**3 == 2 for r in cube_roots)
+    assert all(not (r - s).is_zero() for i, r in enumerate(roots) for s in roots[:i])
 
 
 def test_character_data_must_be_cyclotomic():
