@@ -34,8 +34,8 @@ from .cyclo import (
 )
 
 __all__ = [
-    "Tower", "ExtScalar", "lift", "read_in", "field_zero", "base_constant", "poly_eval", "find_field_roots",
-    "split_roots",
+    "Tower", "ExtScalar", "lift", "read_in", "field_zero", "base_constant", "coordinates", "poly_eval",
+    "find_field_roots", "split_roots",
 ]
 
 
@@ -276,6 +276,45 @@ def base_constant(x) -> CycScalar:
     return x
 
 
+def coordinates(*xs: ExtScalar) -> tuple[list[int], int]:
+    """The rational coordinates of tower scalars in their towers' power
+    bases over Q, one scalar after another, as (numerators, common
+    denominator).
+
+    The basis is the products s^e t^f ... zeta^g of the generators of every
+    level down to Q(zeta_M), coefficient-major: the coordinates of x.c[0]
+    come first.  Each Q(zeta_M) coefficient is read at the tower's base
+    modulus.  Raises ValueError when a coefficient is not an element of its
+    level's base as stored (another tower, or a coefficient tuple of the
+    wrong length), and IncompatibleModulus for a cyclotomic coefficient
+    whose modulus does not divide the base modulus.
+    """
+    parts: list = []
+    for x in xs:
+        if not isinstance(x, ExtScalar):
+            raise ValueError("not a tower scalar")
+        _coordinate_parts(x, x.tower, parts)
+    den = math.lcm(*(d for _, d in parts))
+    return [c * (den // d) for num, d in parts for c in num], den
+
+
+def _coordinate_parts(x, tower: Tower, parts: list) -> None:
+    """Append the (numerators, denominator) of each Q(zeta_M) coefficient
+    of x, an element of `tower`, to `parts`."""
+    if not isinstance(x, ExtScalar) or x.tower is not tower or len(x.c) != tower.degree:
+        raise ValueError("not an element of the tower as stored")
+    base = tower.base_zero()
+    if isinstance(base, ExtScalar):
+        for c in x.c:
+            _coordinate_parts(c, base.tower, parts)
+        return
+    for c in x.c:
+        if not isinstance(c, CycScalar):
+            raise ValueError("not an element of the tower as stored")
+        c = c.embed(base.m)
+        parts.append((c.num, c.den))
+
+
 # -- polynomial root machinery over a scalar field -----------------------
 
 
@@ -364,12 +403,17 @@ def _ext_candidates(coeffs):
             else _ext_candidates(base_coeffs)
         )
         cands.extend(tower.lift(c) for c in base_cands)
-    # unit multiples of the adjoined generator (covers binomial towers)
-    base = base_constant(tower.base_zero())
-    L = base.m if base.m % 2 == 0 else 2 * base.m
+    # unit multiples of the adjoined generator (covers binomial towers): the
+    # 2m-th roots of unity over Q(zeta_m), which for odd m is Q(zeta_2m) and
+    # holds zeta_2m^k = (-1)^k zeta_m^(k (m+1)/2) at modulus m
+    m = base_constant(tower.base_zero()).m
+    if m % 2 == 0:
+        units = [root_of_unity(m, k) for k in range(m)]
+    else:
+        units = [(-1 if k % 2 else 1) * root_of_unity(m, k * (m + 1) // 2) for k in range(2 * m)]
     s = tower.gen()
-    for k in range(L):
-        cands.append(s * tower.lift(root_of_unity(L, k)))
+    for u in units:
+        cands.append(s * tower.lift(u))
     return cands
 
 

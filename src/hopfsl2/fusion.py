@@ -38,31 +38,45 @@ principle: trace functions determine composition factors).
   their trace rows are computed once and kept in a CharacterBasis owned by
   the AlgebraParams; the traces at j < 2n also give each candidate's
   fingerprint.
-* One factorization per character, replayed on every module.  a^n acts as
-  the scalar gamma1 on m and on every candidate, so tr(a^(j+n) x^u y^u) =
-  gamma1 tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
+* One factorization per character, made once.  a^n acts as the scalar
+  gamma1 on m and on every candidate, so tr(a^(j+n) x^u y^u) = gamma1
+  tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
   decompose against a character row-reduces the n^2 x ncand block of
   candidate traces once and keeps its row operations in the CharacterBasis;
-  every decompose replays them on the n^2 traces of m, read into the
-  candidates' field by extfield.read_in (a module over another tower must
-  have traces that are constants of that field).  Every candidate
-  column must hold a pivot (else RankDeficient, recorded with the
-  factorization), the replayed traces below the first ncand must all be
-  zero (else NoIntegerSolution: the verdict rref([C | v]) gives), and the
-  first ncand, the multiplicities, must be a nonnegative integer vector
-  matching the dimension.
+  every decompose reads the n^2 traces of m into the candidates' field by
+  extfield.read_in (a module over another tower must have traces that are
+  constants of that field).  Every candidate column must hold a pivot (else
+  RankDeficient, recorded with the factorization).
+* Over Q(zeta_M), replay.  decompose replays the row operations on the
+  traces of m: the replayed traces below the first ncand must all be zero
+  (else NoIntegerSolution: the verdict rref([C | v]) gives), and the first
+  ncand, the multiplicities, must be a nonnegative integer vector matching
+  the dimension.
+* Over a tower, an integer check first.  An element of a tower of degree D
+  over Q is a vector of D rational coordinates (extfield.coordinates), and
+  flattening is a Q-linear bijection, so integer multiplicities m prove
+  sum_i m_i C_i = v in the tower when they do on every coordinate of every
+  row, with no tower product.  The factorization keeps the candidates'
+  columns flattened and the inverse of an invertible ncand x ncand block of
+  their coordinates (a FlatBlock); decompose reads m off that block and
+  checks it on all coordinates.  The candidates are independent, so m is
+  the only solution and replay would return it too.  When the check fails,
+  decompose replays as above, so every error is replay's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraParams
-from .extfield import base_constant, field_zero, lift, read_in
+from .cyclo import rational
+from .extfield import ExtScalar, base_constant, coordinates, field_zero, lift, read_in
 # rank is not used here: perfbench/test_bench.py checks that its tracer wraps
 # this from-import binding, so it stays until that check names another one
-from .linalg import factor, identity, kron, mat_add, mat_mul, mat_pow, rank, replay, trace  # noqa: F401
+from .linalg import factor, identity, kron, mat_add, mat_inv, mat_mul, mat_pow, rank, replay, rref, trace  # noqa: F401
 from .modules import (
     ModuleRep,
     SimpleLabel,
@@ -431,18 +445,110 @@ def _tensor_rows(p: AlgebraParams, m: TensorProduct) -> list:
     return out
 
 
+class FlatBlock(NamedTuple):
+    """A tower character's candidate block over Q, for decompose's integer
+    check.
+
+    `columns` holds each candidate's n^2 trace rows flattened to their
+    rational coordinates (extfield.coordinates, row after row), as ints over
+    the one denominator `den`.  `rows` names ncand coordinates whose
+    ncand x ncand block is invertible over Q, and `inverse` is that block's
+    inverse, as ints over `inverse_den`.
+    """
+
+    columns: tuple
+    den: int
+    rows: tuple
+    inverse: tuple
+    inverse_den: int
+
+
 @dataclass(frozen=True)
 class Factorization:
     """The one elimination of a character's n^2 x ncand candidate block.
 
     `zero` is the zero of the candidates' field, `steps` the row operations
     (linalg.PivotStep) of the elimination over that field, and `independent`
-    whether every candidate column holds a pivot.
+    whether every candidate column holds a pivot.  `flat` is the block over
+    Q when the field is a tower and the candidates are independent, else
+    None.
     """
 
     zero: object
     steps: tuple
     independent: bool
+    flat: FlatBlock | None = None
+
+
+def _flat_block(cols) -> FlatBlock | None:
+    """The FlatBlock of independent tower columns, or None when their
+    coordinates cannot be read.
+
+    Columns independent over the tower are independent over Q, so some
+    ncand coordinates give an invertible block.  They are the pivots of the
+    ncand x w matrix of the first w coordinates that are not zero in every
+    column, w doubled until all ncand are found.
+    """
+    try:
+        flat, den = coordinates(*(t for col in cols for t in col))
+    except ValueError:
+        return None
+    size = len(flat) // len(cols)
+    columns = tuple(flat[i : i + size] for i in range(0, len(flat), size))
+    nonzero = [k for k, entries in enumerate(zip(*columns)) if any(entries)]
+    ncand = width = len(columns)
+    while True:
+        head = nonzero[:width]
+        _red, pivots = rref([[rational(col[k]) for k in head] for col in columns])
+        if len(pivots) == ncand:
+            break
+        if width >= len(nonzero):
+            return None
+        width *= 2
+    rows = tuple(head[c] for c in pivots)
+    inverse = mat_inv([[rational(Fraction(col[k], den)) for col in columns] for k in rows])
+    inverse_den = math.lcm(*(x.den for row in inverse for x in row))
+    return FlatBlock(
+        columns,
+        den,
+        rows,
+        tuple(tuple(x.num[0] * (inverse_den // x.den) for x in row) for row in inverse),
+        inverse_den,
+    )
+
+
+def _flat_multiplicities(flat: FlatBlock, traces) -> list[int] | None:
+    """The multiplicities m with sum_i m_i col_i = traces, found over Q, or
+    None when there is no such nonnegative integer vector (or the traces'
+    coordinates cannot be read).
+
+    m is the block's inverse times the traces' coordinates at `flat.rows`;
+    it is accepted only when every m_i is a nonnegative integer and the sum
+    matches the traces on every coordinate of every row.  Flattening is a
+    Q-linear bijection of the tower onto Q^D, so that check proves the
+    identity in the tower, and with independent columns m is its only
+    solution.
+    """
+    try:
+        v, vden = coordinates(*traces)
+    except ValueError:
+        return None
+    if len(v) != len(flat.columns[0]):
+        return None
+    scale = flat.inverse_den * vden
+    mults = []
+    for row in flat.inverse:
+        k, r = divmod(sum(a * v[w] for a, w in zip(row, flat.rows)), scale)
+        if r or k < 0:
+            return None
+        mults.append(k)
+    acc = [0] * len(v)
+    for k, col in zip(mults, flat.columns):
+        if k:
+            acc = [a + k * c for a, c in zip(acc, col)]
+    if [a * vden for a in acc] != [x * flat.den for x in v]:
+        return None
+    return mults
 
 
 class CharacterBasis(list):
@@ -469,7 +575,9 @@ class CharacterBasis(list):
             zero = field_zero(p.zero, *(cm.zero_scalar() for _, cm in self))
             cols = [[lift(t, zero) for t in self.rows[lab]] for lab, _ in self]
             _red, pivots, steps = factor([[col[w] for col in cols] for w in range(p.n * p.n)])
-            self.factorization = Factorization(zero, tuple(steps), pivots == list(range(len(self))))
+            independent = pivots == list(range(len(self)))
+            flat = _flat_block(cols) if independent and isinstance(zero, ExtScalar) else None
+            self.factorization = Factorization(zero, tuple(steps), independent, flat)
         return self.factorization
 
 
@@ -570,9 +678,12 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     the a^n scalar (used to enumerate candidate simples).  Since a^n acts as
     that scalar on m and on every candidate, the n^2 trace rows at j < n
     decide rank, consistency and the multiplicities: the character's
-    factorization of its candidate block, made once, is replayed on them in
-    the candidates' field.  A TensorProduct's scalars and trace rows are
-    read from its factors', and its matrices are not built.
+    factorization of its candidate block is made once.  Over a tower the
+    multiplicities are read from the rational coordinates of the rows and
+    checked on all of them; otherwise, or when that check fails, the
+    factorization is replayed on the rows in the candidates' field, and
+    replay raises every error.  A TensorProduct's scalars and trace rows
+    are read from its factors', and its matrices are not built.
     """
     gamma2, gamma3, gamma1 = (_action(p, m, g) for g in ("b", "c", "a^n"))
     g1n = p.scalar(g1)
@@ -592,17 +703,19 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     ncand = len(cands)
     if not plan.independent:
         raise RankDeficient(f"candidate trace vectors are linearly dependent (rank < {ncand})")
-    # the candidates are independent, so [candidate traces | traces of m]
-    # is consistent iff every replayed trace past the first ncand is zero
-    w = replay(plan.steps, traces)
-    if any(not x.is_zero() for x in w[ncand:]):
-        raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
-    mults = []
-    for x in w[:ncand]:
-        k = _as_nonneg_int(x)
-        if k is None:
-            raise NoIntegerSolution(f"non-integer multiplicity {x!r}")
-        mults.append(k)
+    mults = None if plan.flat is None else _flat_multiplicities(plan.flat, traces)
+    if mults is None:
+        # the candidates are independent, so [candidate traces | traces of m]
+        # is consistent iff every replayed trace past the first ncand is zero
+        w = replay(plan.steps, traces)
+        if any(not x.is_zero() for x in w[ncand:]):
+            raise NoIntegerSolution("trace system is inconsistent (missing candidate?)")
+        mults = []
+        for x in w[:ncand]:
+            k = _as_nonneg_int(x)
+            if k is None:
+                raise NoIntegerSolution(f"non-integer multiplicity {x!r}")
+            mults.append(k)
     if sum(mult * cm.dim for mult, (_, cm) in zip(mults, cands)) != m.dim:
         raise NoIntegerSolution("dimension bookkeeping failed")
     return FusionVector({lab: mult for mult, (lab, _) in zip(mults, cands) if mult})

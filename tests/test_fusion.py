@@ -1,15 +1,17 @@
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from hopfsl2 import fusion
 from hopfsl2.algebra import AlgebraParams
-from hopfsl2.cyclo import CycScalar, root_of_unity
+from hopfsl2.cyclo import CycScalar, euler_phi, root_of_unity
 from hopfsl2.cyclo import rational
-from hopfsl2.extfield import ExtScalar, Tower, base_constant, lift
+from hopfsl2.extfield import ExtScalar, Tower, base_constant, coordinates, lift, read_in
 from hopfsl2.fusion import (
     CanonLabel,
     FusionVector,
@@ -745,3 +747,175 @@ def test_tensor_check_still_verifies_the_product(pb3):
     with pytest.raises(WrongType, match="tensor product violates relations"):
         tensor(p, doubled, m)
     assert verify_module(p, tensor(p, m, m)) == []
+
+
+# -- multiplicities from rational coordinates over a tower ---------------------
+
+
+def _tower_products():
+    """(params, module, g1) decomposed against candidates that live over a
+    tower: at the thm5.19 point, each VI candidate of z9 times the trivial
+    module, on either side; at beta = (1, 1, 0), each VI candidate of z6
+    times the trivial module."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    trivial = build_V0(p, 1, 1, 1, 0)
+    for _, c in candidate_simples(p, z9, p.one, p.one):
+        yield p, tensor(p, c, trivial, check=False), z9
+        yield p, tensor(p, trivial, c, check=False), z9
+    p = AlgebraParams(3, 1, beta=(1, 1, 0))
+    z6 = root_of_unity(6, 1)
+    trivial = build_V0(p, 1, 1, 1, 0)
+    for _, c in candidate_simples(p, z6, p.one, p.one):
+        yield p, tensor(p, c, trivial, check=False), z6
+
+
+def test_tower_decompose_matches_the_full_trace_system():
+    """Over a tower, decompose reads the multiplicities from the rational
+    coordinates of the traces; they equal the oracle's on all 2n*n rows."""
+    cases = list(_tower_products())
+    assert len(cases) == 9
+    for p, mt, g1 in cases:
+        fv = decompose(p, mt, g1)
+        assert fv == reference_decompose(p, mt, g1) and fv.total_dim() == mt.dim
+        plan = candidate_simples(p, g1, p.one, p.one).factorize(p)
+        assert isinstance(plan.zero, ExtScalar) and plan.flat is not None
+
+
+def test_consistent_tower_decompose_never_replays(monkeypatch):
+    """A tower decompose whose traces are a nonnegative integer combination
+    of the candidates' is decided by the integer check alone: the products
+    of _tower_products, and the products of two VI candidates of z9, whose
+    constant traces are read down into the tower of the candidates at
+    z9^2."""
+
+    def refuse(steps, v):
+        raise AssertionError("replay called")
+
+    monkeypatch.setattr(fusion, "replay", refuse)
+    cases = list(_tower_products())
+    p = cases[0][0]
+    z9 = root_of_unity(9, 1)
+    for (_, c0), (_, c1) in itertools.combinations(candidate_simples(p, z9, p.one, p.one), 2):
+        cases.append((p, tensor(p, c0, c1, check=False), z9 * z9))
+    for p, mt, g1 in cases:
+        assert decompose(p, mt, g1).total_dim() == mt.dim
+
+
+def _basis_element(zero, k):
+    """The power-basis element of the field of `zero` at index k of
+    extfield.coordinates."""
+    if isinstance(zero, CycScalar):
+        return root_of_unity(zero.m, k)
+    tower = zero.tower
+    base = tower.base_zero()
+    size = len(coordinates(base)[0]) if isinstance(base, ExtScalar) else euler_phi(base.m)
+    i, rest = divmod(k, size)
+    return tower.gen() ** i * tower.lift(_basis_element(base, rest))
+
+
+def _thm519_vi_case():
+    """The thm5.19 point, the VI candidates of z9 and the first of them
+    times the trivial module, whose traces live in the candidates' tower."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    cands = candidate_simples(p, z9, p.one, p.one)
+    return p, z9, cands, tensor(p, cands[0][1], build_V0(p, 1, 1, 1, 0), check=False)
+
+
+def _patch_rows(monkeypatch, mt, change):
+    """Make decompose read change(rows) as the trace rows of mt."""
+    real = fusion._trace_rows
+    monkeypatch.setattr(fusion, "_trace_rows", lambda p, m: change(list(real(p, m))) if m is mt else real(p, m))
+
+
+INCONSISTENT = re.escape("trace system is inconsistent (missing candidate?)")
+
+
+def test_tower_decompose_missing_candidate_falls_back_to_replay(monkeypatch):
+    """Without one summand among the tower candidates the integer check
+    fails, and replay raises the inconsistency error."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    z9 = root_of_unity(9, 1)
+    (_, c0), (_, c1), _ = candidate_simples(p, z9, p.one, p.one)
+    mt = tensor(p, c0, c1, check=False)
+    summand = next(iter(decompose(p, mt, z9 * z9).entries))
+    listed = fusion.candidate_simples
+    monkeypatch.setattr(
+        fusion, "candidate_simples", lambda *a, **kw: [c for c in listed(*a, **kw) if c[0] != summand]
+    )
+    replayed = []
+    replay = fusion.replay
+    monkeypatch.setattr(fusion, "replay", lambda steps, v: replayed.append(v) or replay(steps, v))
+    with pytest.raises(NoIntegerSolution, match=INCONSISTENT):
+        decompose(p, mt, z9 * z9)
+    assert len(replayed) == 1 and all(isinstance(x, ExtScalar) for x in replayed[0])
+
+
+def test_tower_decompose_checks_every_coordinate_of_every_row(monkeypatch):
+    """A trace changed at a coordinate that the invertible block does not
+    read leaves the block's multiplicities as they were, so only the check
+    of every coordinate sees the change.  On every row, decompose raises
+    the error of replay alone; where the changed traces leave the
+    candidates' span, that is the inconsistency error."""
+    p, z9, cands, mt = _thm519_vi_case()
+    expected = decompose(p, mt, z9)
+    plan = cands.factorize(p)
+    size = len(plan.flat.columns[0]) // (p.n * p.n)
+    messages = []
+    for t in range(p.n * p.n):
+        k = max(set(range(t * size, (t + 1) * size)) - set(plan.flat.rows))
+        e = _basis_element(plan.zero, k - t * size)
+        unit = [0] * size
+        unit[k - t * size] = 1
+        assert coordinates(e) == (unit, 1)
+
+        def perturbed(rows, t=t, e=e):
+            rows[t] = rows[t] + e
+            return rows
+
+        raised = []
+        for replay_only in (True, False):
+            with monkeypatch.context() as patch:
+                _patch_rows(patch, mt, perturbed)
+                if replay_only:
+                    patch.setattr(cands, "factorization", dataclasses.replace(plan, flat=None))
+                with pytest.raises(NoIntegerSolution) as error:
+                    decompose(p, mt, z9)
+            raised.append(str(error.value))
+        assert raised[0] == raised[1]
+        messages.append(raised[0])
+    assert re.fullmatch(INCONSISTENT, messages[-1])
+    assert decompose(p, mt, z9) == expected
+
+
+def test_integer_check_reads_every_coordinate():
+    """The integer check accepts the traces of a candidate times the trivial
+    module and declines them changed at any one coordinate that the
+    invertible block does not read."""
+    p, z9, cands, mt = _thm519_vi_case()
+    plan = cands.factorize(p)
+    traces = [read_in(t, plan.zero) for t in fusion._trace_rows(p, mt)]
+    assert fusion._flat_multiplicities(plan.flat, traces) == [1, 0, 0]
+    size = len(plan.flat.columns[0]) // len(traces)
+    basis = [_basis_element(plan.zero, k) for k in range(size)]
+    for k in set(range(len(plan.flat.columns[0]))) - set(plan.flat.rows):
+        t, i = divmod(k, size)
+        changed = list(traces)
+        changed[t] = changed[t] + basis[i]
+        assert fusion._flat_multiplicities(plan.flat, changed) is None, k
+
+
+@pytest.mark.parametrize("weights", [(Fraction(1, 2), Fraction(1, 2), 0), (1, -1, 1)])
+def test_tower_decompose_refuses_non_integer_and_negative_multiplicities(monkeypatch, weights):
+    """Traces that are a consistent combination of the candidates' with a
+    non-integer or a negative weight, and the right total dimension, raise
+    replay's non-integer error."""
+    p, z9, cands, mt = _thm519_vi_case()
+    zero = cands.factorize(p).zero
+    rows = [[lift(t, zero) for t in cands.rows[lab]] for lab, _ in cands]
+    assert sum(w * cm.dim for w, (_, cm) in zip(weights, cands)) == mt.dim
+    combination = [sum((w * col[i] for w, col in zip(weights, rows)), zero) for i in range(p.n * p.n)]
+    _patch_rows(monkeypatch, mt, lambda _rows: combination)
+    with pytest.raises(NoIntegerSolution, match="non-integer multiplicity"):
+        decompose(p, mt, z9)

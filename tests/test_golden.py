@@ -35,6 +35,8 @@ COMMANDS = {
         "build-module --n 3 --n1 1 --beta 1,1,1 --kind VI --g1 z9 --kseed-index 2 --extra-orders 9 4"
     ),
     "relations_thm519": "verify-relations --suite thm5.19 --n 3 --n1 1 --beta 1,1,1 --extra-orders 9 4",
+    # a deeper tower: 32 decompositions over the towers of n = 4
+    "relations_thm519_n4": "verify-relations --suite thm5.19 --n 4 --n1 1 --beta 1,1,1",
     # a typed library error: exit 1 with a top-level "error" block
     "relations_unbound_generator": "verify-relations --suite thm5.17 --n 5 --n1 2 --beta 1,0,1",
     # modules over a k-seed tower decomposed against cyclotomic candidates

@@ -9,6 +9,7 @@ from hopfsl2.extfield import (
     ExtScalar,
     Tower,
     base_constant,
+    coordinates,
     field_zero,
     find_field_roots,
     lift,
@@ -123,6 +124,45 @@ def test_split_roots_cubic_radical():
     lifted = [tower.lift(c) for c in poly]
     for r in roots:
         assert poly_eval(lifted, r).is_zero()
+
+
+def test_coordinates_flatten_a_nested_tower_coefficient_major():
+    """coordinates reads a two-level tower scalar as its Q(zeta_M)
+    numerators, level by level with x.c[0] first, over one denominator."""
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    seeds = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0, allow_extension=True)
+    outer = next(s for s in seeds if isinstance(s.tower.base_zero(), ExtScalar)).tower
+    inner = outer.base_zero().tower
+    m = base_constant(inner.base_zero()).m
+    phi = euler_phi(m)
+    size = outer.degree * inner.degree * phi
+    zeta = root_of_unity(m, 1)
+    x = outer.gen() * outer.lift(inner.gen() * inner.lift(zeta * Fraction(1, 3))) + outer.lift(Fraction(5, 2))
+    num, den = coordinates(x)
+    expected = [0] * size
+    expected[0] = 15  # 5/2 at the basis element 1
+    expected[inner.degree * phi + phi + 1] = 2  # 1/3 at s t zeta
+    assert (num, den) == (expected, 6)
+    assert coordinates(outer.lift(0)) == ([0] * size, 1)
+
+
+def test_coordinates_refuse_what_the_tower_does_not_store():
+    """A cyclotomic coefficient whose modulus does not divide the base
+    modulus, a coefficient from another tower and a wrong coefficient count
+    are refused, never read through or cut short."""
+    roots, sample = split_roots([rational(c, 6) for c in (-2, 0, 0, 1)])
+    tower = sample.tower
+    zero = tower.base_zero()
+    assert coordinates(ExtScalar(tower, (rational(1, 3), zero, zero)))[0][:2] == [1, 0]
+    with pytest.raises(IncompatibleModulus):
+        coordinates(ExtScalar(tower, (root_of_unity(4, 1), zero, zero)))
+    other = split_roots([rational(c, 6) for c in (-3, 0, 0, 1)])[1].tower
+    with pytest.raises(ValueError):
+        coordinates(ExtScalar(tower, (other.gen(), zero, zero)))
+    short = ExtScalar(tower, (zero, zero, zero))
+    short.c = (zero, zero)
+    with pytest.raises(ValueError):
+        coordinates(short)
 
 
 def test_find_field_roots_binomial():

@@ -189,6 +189,33 @@ def test_split_roots_returns_distinct_roots(coeffs, in_field):
     assert all(not (r - s).is_zero() for i, r in enumerate(roots) for s in roots[:i])
 
 
+@pytest.mark.parametrize("m", [1, 3, 5, 6])
+def test_split_roots_cube_roots_of_two_at_any_base_modulus(m):
+    """x^3 - 2 splits over a tower on Q(zeta_m) whether m is odd or even:
+    the unit multiples of a level's generator that the root search tries
+    are read at the base modulus.  Q(zeta_m) holds the cube roots of unity
+    for m = 3, 6, so one cubic level splits it there; for m = 1, 5 a
+    quadratic level follows."""
+    roots, sample = split_roots([rational(c, m) for c in (-2, 0, 0, 1)])
+    assert base_constant_modulus(sample) == m
+    degrees = []
+    tower = sample.tower
+    while True:
+        degrees.append(tower.degree)
+        if not isinstance(tower.base_zero(), ExtScalar):
+            break
+        tower = tower.base_zero().tower
+    assert degrees == ([3] if m % 3 == 0 else [2, 3])
+    assert len(roots) == 3 and all(r.tower is sample.tower and r**3 == 2 for r in roots)
+    assert all(not (r - s).is_zero() for i, r in enumerate(roots) for s in roots[:i])
+
+
+def base_constant_modulus(x):
+    while isinstance(x, ExtScalar):
+        x = x.tower.base_zero()
+    return x.m
+
+
 def test_character_data_must_be_cyclotomic():
     """Only a k-seed may lie in a tower: kind_conditions rejects tower-valued
     g1, gamma2 or gamma3."""
