@@ -162,6 +162,28 @@ def test_thm519_suite():
         assert rep.ok, rep.summary()
 
 
+def test_thm519_x_zprime_report():
+    """thm5.19.x_zprime has a z'-generator only when gamma1^n1 = 1 leaves
+    g1^(2 n1) outside <q^n1>; the first default point with one is n = 6,
+    n1 = 3, where the V_I character of x has two seed-classes."""
+    p = AlgebraParams(6, 3, beta=(1, 1, 1), extra_orders=(36,))
+    [bindings] = [b for rid, b in default_suite_instances(p, "thm5.19") if rid == "thm5.19.x_zprime"]
+    name = "printed(g^(n-t) s'' x_(zeta1 xi, zeta2))"
+    detail = "2 seed-class(es) at this character"
+    assert verify_relation(p, "thm5.19.x_zprime", **bindings).as_dict() == {
+        "relation": "thm5.19.x_zprime",
+        "bindings": "g1xi=cyc(36; 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), "
+        "g1z=cyc(36; 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), "
+        "zeta2=cyc(36; 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)",
+        "ok": True,
+        "inapplicable": False,
+        "passed": True,
+        "readings": [
+            {"name": f"{name} [class#{k}]", "applicable": True, "holds": True, "detail": detail} for k in range(2)
+        ],
+    }
+
+
 def test_star1_at_larger_t():
     """(5,1): t = 5 odd, both readings; (4,2): u = 2, only the half-shift."""
     p51 = AlgebraParams(5, 1, beta=(0, 0, 1))
