@@ -344,9 +344,10 @@ def simple_key(p: AlgebraParams, label: SimpleLabel) -> tuple:
     constant equals its Q(zeta_M) value, and a cyclotomic k-seed equals its
     image at another modulus, yet each prints as given.  So the key holds
     the character data as read through p.scalar (which the builders print),
-    i mod n, r as given (a wrong r fails to build, so it is never stored)
-    and the k-seed's own key.  Raises WrongType for an unknown kind and for
-    a VI/VII label without a k-seed.
+    i mod n, r as given (a wrong r fails to build, so it is never stored;
+    build_simple keeps a V_r module under its key without r and its key
+    with r) and the k-seed's own key.  Raises WrongType for an unknown kind
+    and for a VI/VII label without a k-seed.
     """
     if label.kind not in ("V0", "Vr", "VI", "VII"):
         raise WrongType(f"unknown kind {label.kind!r}")
@@ -362,7 +363,8 @@ def simple_key(p: AlgebraParams, label: SimpleLabel) -> tuple:
 def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
     """The simple module that label names, built once per simple_key and kept
     in `p.caches.modules`, so equal keys share one ModuleRep (callers do not
-    change it); a label that names no module raises on every call."""
+    change it); a V_r label with r and the same label without r share one
+    too.  A label that names no module raises on every call."""
     key = simple_key(p, label)
     m = p.caches.modules.get(key)
     if m is not None:
@@ -377,7 +379,12 @@ def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
         m = build_VI(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
     else:
         m = build_VII(p, label.g1, label.gamma2, label.gamma3, label.i, label.kseed)
-    p.caches.modules[key] = m
+    if label.kind == "Vr":
+        # a label without r and one with the forced r name this module
+        for r in (None, m.label.r):
+            p.caches.modules[key[:5] + (r, None)] = m
+    else:
+        p.caches.modules[key] = m
     return m
 
 

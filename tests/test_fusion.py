@@ -749,6 +749,27 @@ def test_tensor_check_still_verifies_the_product(pb3):
     assert verify_module(p, tensor(p, m, m)) == []
 
 
+@pytest.mark.parametrize("first", ["no_r", "with_r"])
+def test_vr_label_without_r_shares_the_built_module(monkeypatch, first):
+    """A V_r label without r and the same label with its r name one module
+    with one trace record, in either build order, so a repeated fuse of the
+    r-less label traces nothing."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    with_r = canonical_zr_label(p, 3)
+    labels = {"with_r": with_r, "no_r": dataclasses.replace(with_r, r=None)}
+    m = build_simple(p, labels[first])
+    assert build_simple(p, labels["no_r"]) is m
+    assert build_simple(p, labels["with_r"]) is m
+    assert fusion._built_traces(p, m) is not None
+    no_r = labels["no_r"]
+    want = fuse(p, no_r, no_r)
+    calls = []
+    real = fusion.trace_vector
+    monkeypatch.setattr(fusion, "trace_vector", lambda *args: calls.append(args) or real(*args))
+    assert fuse(p, no_r, no_r) == want and fuse(p, no_r, no_r) == want
+    assert calls == []
+
+
 # -- multiplicities from rational coordinates over a tower ---------------------
 
 
