@@ -250,9 +250,10 @@ class Caches:
     Module layer: `modules` maps modules.simple_key to the module that
     build_simple built, and `classes` maps it to that module's CanonLabel
     (grothendieck.cls).
-    Fusion layer: `traces` maps the id of each module in `modules` to its
-    fusion.ModuleTraces (its b, c and a^n scalars and its traces at j < 2n),
-    which fusion.class_of and every tensor product it is a factor of read;
+    Fusion layer: `traces` maps the id of each module in `modules`, every
+    candidate simple among them, to its fusion.ModuleTraces (its b, c and
+    a^n scalars and its traces at j < 2n), which fusion.class_of, the
+    candidate bases and every tensor product it is a factor of read;
     `qbinomial_squares` holds [u choose k]_(q^n1)^2 for k <= u < n, the
     coefficients of the tensor-product trace formula.  `character_bases`
     holds, per central character, the candidate simples, their trace rows

@@ -34,10 +34,10 @@ principle: trace functions determine composition factors).
   [u choose k]_(Q^-1) = Q^(-k (u-k)) [u choose k]_Q cancels that phase.
   A built simple's scalars and traces are made once per AlgebraParams and
   shared with class_of; the squared q-binomials are made once too.
-* One trace basis per character.  The candidates of a central character and
-  their trace rows are computed once and kept in a CharacterBasis owned by
-  the AlgebraParams; the traces at j < 2n also give each candidate's
-  fingerprint.
+* One trace basis per character.  The candidates of a central character are
+  build_simple's modules for their labels, so each shares its one trace
+  record with class_of and the tensor products; their classes and trace
+  rows are kept in a CharacterBasis owned by the AlgebraParams.
 * One factorization per character, made once.  a^n acts as the scalar
   gamma1 on m and on every candidate, so tr(a^(j+n) x^u y^u) = gamma1
   tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
@@ -82,10 +82,6 @@ from .modules import (
     SimpleLabel,
     WrongType,
     build_simple,
-    build_V0,
-    build_VI,
-    build_VII,
-    build_Vr,
     kind_conditions,
     simple_key,
     solve_k_seed,
@@ -364,18 +360,16 @@ def _built_traces(p: AlgebraParams, m: ModuleRep) -> ModuleTraces | None:
 
     They are made once and kept in `p.caches.traces`, keyed by id(m): a
     built module stays in `p.caches.modules` as long as p lives, so its id
-    is not reused while the entry exists.
+    is not reused while the entry exists.  The builders make b and c scalar
+    and a diagonal with entries mu q^(-+j), whose n-th powers are all mu^n,
+    so the scalars are read off the first diagonal entries.
     """
     known = p.caches.traces.get(id(m))
     if known is None:
         if not isinstance(m.label, SimpleLabel) or p.caches.modules.get(simple_key(p, m.label)) is not m:
             return None
-        known = p.caches.traces[id(m)] = ModuleTraces(
-            _scalar_action(m.mat("b"), "b"),
-            _scalar_action(m.mat("c"), "c"),
-            _power_action(p, m.mat("a")),
-            trace_vector(p, m, 2 * p.n),
-        )
+        b, c, a = (m.mat(g)[0][0] for g in "bca")
+        known = p.caches.traces[id(m)] = ModuleTraces(b, c, a**p.n, trace_vector(p, m, 2 * p.n))
     return known
 
 
@@ -588,30 +582,20 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     if basis is not None:
         return basis
     b1pp, b2pp, _b3pp, _mu = kind_conditions(p, g1, gamma2, gamma3, 0)
-    mods: list[ModuleRep] = []
     n = p.n
     if b1pp.is_zero() and b2pp.is_zero():
-        for i in range(n):
-            _, _, b3i, _ = kind_conditions(p, g1, gamma2, gamma3, i)
-            if b3i.is_zero():
-                mods.append(build_V0(p, g1, gamma2, gamma3, i))
-            else:
-                mods.append(build_Vr(p, g1, gamma2, gamma3, i))
-    elif not b1pp.is_zero():
-        seeds = solve_k_seed(p, "VI", g1, gamma2, gamma3, 0, allow_extension=True)
-        for s in _sorted_seeds(seeds):
-            mods.append(build_VI(p, g1, gamma2, gamma3, 0, s))
+        kinds = ("V0" if kind_conditions(p, g1, gamma2, gamma3, i)[2].is_zero() else "Vr" for i in range(n))
+        labels = [SimpleLabel(kind, g1, gamma2, gamma3, i) for i, kind in enumerate(kinds)]
     else:
-        seeds = solve_k_seed(p, "VII", g1, gamma2, gamma3, 0, allow_extension=True)
-        for s in _sorted_seeds(seeds):
-            mods.append(build_VII(p, g1, gamma2, gamma3, 0, s))
+        kind = "VII" if b1pp.is_zero() else "VI"
+        seeds = solve_k_seed(p, kind, g1, gamma2, gamma3, 0, allow_extension=True)
+        labels = [SimpleLabel(kind, g1, gamma2, gamma3, 0, kseed=s) for s in _sorted_seeds(seeds)]
     cands = []
     rows = {}
-    for m in mods:
-        row = trace_vector(p, m, 2 * n)
-        label = CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in row), m.label)
+    for m in (build_simple(p, lab) for lab in labels):
+        label = class_of(p, m)
         if label not in rows:
-            rows[label] = row[: n * n]
+            rows[label] = _built_traces(p, m).traces[: n * n]
             cands.append((label, m))
     cands.sort(key=lambda cm: cm[0])
     basis = CharacterBasis(cands, rows)
@@ -625,7 +609,8 @@ def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     Returns the cached CharacterBasis, a list of (CanonLabel, ModuleRep)
     deduplicated by exact trace fingerprint.  VI/VII k-seeds are solved
     exactly; when no cyclotomic seed exists, the seed polynomial is split
-    over an extension tower.
+    over an extension tower.  Each candidate is build_simple's module for
+    its label, and its class and rows come from that module's trace record.
     """
     return _character_basis(p, g1, gamma2, gamma3)
 

@@ -362,8 +362,6 @@ def rel_thm55_star1(p: AlgebraParams) -> list:
     def lhs():
         out = FusionVector()
         for v in range(t // 2 + 1):
-            if t - 2 * v < 0:
-                continue
             coeff = (-1) ** v * _dickson_coeff(t, v)
             out = out + gr_pow(p, z2, t - 2 * v).scale(coeff)
         return out
@@ -463,18 +461,21 @@ def _vi_choices(p: AlgebraParams, g1, gamma2, gamma3, kind="VI"):
     return [(f"class#{k}", f) for k, f in enumerate(fam)]
 
 
+def _seed_class_products(p: AlgebraParams, kind: str, char, times, target, total: int, name: str) -> list:
+    """One structural reading per seed-class C of `kind` at the character
+    `char`: times(C), C's product with the other generator, must be `total`
+    classes of the kind at the character `target`."""
+    return [
+        _structural_vi_reading(p, f"{name} [{tag}]", times(c), *target, total, kind=kind)
+        for tag, c in _vi_choices(p, *char, kind=kind)
+    ]
+
+
 def rel_thm58_z2_x(p: AlgebraParams, g1z, zeta2) -> list:
     g1z, zeta2 = p.scalar(g1z), p.scalar(zeta2)
-    newg1 = g1z * p.sqrt_q
-    readings = []
-    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2):
-        lhs = gr_mul(p, z_class(p, 2), xcls)
-        readings.append(
-            _structural_vi_reading(
-                p, f"proof(2 V_I classes at zeta1 q^(n/2)) [{tag}]", lhs, newg1, p.one, zeta2, 2
-            )
-        )
-    return readings
+    name = "proof(2 V_I classes at zeta1 q^(n/2))"
+    char, target = (g1z, p.one, zeta2), (g1z * p.sqrt_q, p.one, zeta2)
+    return _seed_class_products(p, "VI", char, lambda x: gr_mul(p, z_class(p, 2), x), target, 2, name)
 
 
 def _gammas(p: AlgebraParams, kind: str, c) -> tuple:
@@ -498,13 +499,8 @@ def _seed_class_times_vt(p: AlgebraParams, kind: str, g1, c2, xi, printed: str) 
     same kind at the character with c2 xi in place of c2."""
     g1, c2, xi = p.scalar(g1), p.scalar(c2), p.scalar(xi)
     vt = cls(p, SimpleLabel("Vr", p.one, *_gammas(p, kind, xi), 0, r=p.t))
-    readings = []
-    for tag, c in _vi_choices(p, g1, *_gammas(p, kind, c2), kind=kind):
-        lhs = gr_mul(p, c, vt)
-        readings.append(
-            _structural_vi_reading(p, f"{printed} [{tag}]", lhs, g1, *_gammas(p, kind, c2 * xi), p.t, kind=kind)
-        )
-    return readings
+    char, target = (g1, *_gammas(p, kind, c2)), (g1, *_gammas(p, kind, c2 * xi))
+    return _seed_class_products(p, kind, char, lambda c: gr_mul(p, c, vt), target, p.t, printed)
 
 
 def rel_thm58_z2_zdprime(p: AlgebraParams, xi) -> list:
@@ -640,15 +636,9 @@ def rel_thm519_x_zprime(p: AlgebraParams, g1z, zeta2, g1xi) -> list:
     """x_(zeta1,zeta2) z'_xi = g^(n-t) s'' x_(zeta1 xi, zeta2)."""
     g1z, zeta2, g1xi = p.scalar(g1z), p.scalar(zeta2), p.scalar(g1xi)
     zp = cls(p, SimpleLabel("Vr", g1xi, p.one, p.one, 0, r=p.t))
-    readings = []
-    for tag, xcls in _vi_choices(p, g1z, p.one, zeta2):
-        lhs = gr_mul(p, xcls, zp)
-        readings.append(
-            _structural_vi_reading(
-                p, f"printed(g^(n-t) s'' x_(zeta1 xi, zeta2)) [{tag}]", lhs, g1z * g1xi, p.one, zeta2, p.t
-            )
-        )
-    return readings
+    name = "printed(g^(n-t) s'' x_(zeta1 xi, zeta2))"
+    char, target = (g1z, p.one, zeta2), (g1z * g1xi, p.one, zeta2)
+    return _seed_class_products(p, "VI", char, lambda x: gr_mul(p, x, zp), target, p.t, name)
 
 
 def rel_gn(p: AlgebraParams) -> list:
@@ -696,15 +686,13 @@ def _fmt_bindings(bindings) -> str:
 
 def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> FusionVector:
     """The unique VI/VII seed-class at the character; raises when ambiguous."""
-    fam = vi_family(p, g1, gamma2, gamma3, kind)
-    if not fam:
-        raise UnboundGenerator(f"no {kind} simple at this character")
-    if len(fam) > 1:
+    choices = _vi_choices(p, g1, gamma2, gamma3, kind)
+    if len(choices) > 1:
         raise UnboundGenerator(
-            f"{len(fam)} non-isomorphic {kind} seed-classes at this character; "
+            f"{len(choices)} non-isomorphic {kind} seed-classes at this character; "
             "the displayed generator is ambiguous"
         )
-    return fam[0]
+    return choices[0][1]
 
 
 # -- suites ------------------------------------------------------------------
@@ -894,14 +882,10 @@ class GelakiContext:
         """
         p = self.p
         out = []
-        seen = set()
         for k in range(self.N // p.n):
             g1 = self.frak_q**k
             cands = candidate_simples(p, g1, p.one, p.one)
             for lab, _m in cands:
-                if lab.fingerprint in seen:
-                    continue
-                seen.add(lab.fingerprint)
                 if lab.kind == "V0":
                     mu = lab.display.g1 * p.qpow(lab.display.i)
                     key = ("V0", (mu.m, mu.coefficients()))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfsl2 import cyclo
+from hopfsl2 import cyclo, fusion, modules
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
 from hopfsl2.fusion import FusionVector, candidate_simples, fuse
@@ -25,7 +25,7 @@ from hopfsl2.grothendieck import (
     verify_relation,
     z_class,
 )
-from hopfsl2.modules import SimpleLabel
+from hopfsl2.modules import SimpleLabel, simple_key
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,33 @@ def test_thm519_x_zprime_report():
             {"name": f"{name} [class#{k}]", "applicable": True, "holds": True, "detail": detail} for k in range(2)
         ],
     }
+
+
+@pytest.mark.parametrize(
+    "suite, beta, extra", [("thm5.8", (1, 0, 0), ()), ("thm5.19", (1, 1, 1), (4,))]
+)
+def test_each_simple_is_built_once(monkeypatch, suite, beta, extra):
+    """Over a suite's default instances each simple is built once: named
+    generators, tensor factors and the candidates of every character all
+    come from build_simple."""
+    p = AlgebraParams(3, 1, beta=beta, extra_orders=extra)
+    built = []
+
+    def spy(real):
+        def build(*args):
+            m = real(*args)
+            built.append(simple_key(p, m.label))
+            return m
+
+        return build
+
+    for mod in (modules, fusion):
+        for name in ("build_V0", "build_Vr", "build_VI", "build_VII"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+    for rid, bindings in default_suite_instances(p, suite):
+        assert verify_relation(p, rid, **bindings).passed
+    assert built and len(built) == len(set(built))
 
 
 def test_star1_at_larger_t():
