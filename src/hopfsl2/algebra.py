@@ -259,7 +259,7 @@ class Caches:
     holds, per central character, the candidate simples, their trace rows
     and the factorization of those rows that decompose replays
     (fusion.candidate_simples), and `fuse` maps a class pair to its fuse
-    results, one per displays' (gamma2, gamma3) (grothendieck.gr_mul).
+    result (grothendieck.gr_mul).
     """
 
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
@@ -271,7 +271,7 @@ class Caches:
     traces: dict[int, ModuleTraces] = field(default_factory=dict)
     qbinomial_squares: list[list[CycScalar]] = field(default_factory=list)
     character_bases: dict[tuple, CharacterBasis] = field(default_factory=dict)
-    fuse: dict[tuple, list[tuple[tuple, FusionVector]]] = field(default_factory=dict)
+    fuse: dict[tuple[CanonLabel, CanonLabel], FusionVector] = field(default_factory=dict)
 
 
 def _add(d: dict, key, coeff) -> None:

@@ -115,11 +115,13 @@ class NoIntegerSolution(ArithmeticError):
 
 @dataclass(frozen=True, order=True)
 class CanonLabel:
-    """Iso-class identity of a simple: kind, dimension and exact trace data.
+    """Iso-class identity of a simple: kind, dimension, exact trace data and
+    `bc`, the keys of the scalars (gamma2, gamma3) by which b and c act, or
+    () when both are 1; the traces of a^j x^u y^u do not see them.
 
-    Equal fingerprints mean isomorphic simples (Brauer-Nesbitt); the display
-    label carries human-readable parameters.  Equality and order are those of
-    (kind, dim, fingerprint); the order sets the printed order of fusion
+    Equal labels mean isomorphic simples (Brauer-Nesbitt); the display label
+    carries human-readable parameters.  Equality and order are those of
+    (kind, dim, fingerprint, bc); the order sets the printed order of fusion
     results.
     """
 
@@ -127,6 +129,7 @@ class CanonLabel:
     dim: int
     fingerprint: tuple
     display: SimpleLabel = field(default=None, compare=False)
+    bc: tuple = ()
     # labels key the dicts of fusion and Grothendieck-ring products, and the
     # fingerprint nests one scalar key per trace: hash it once, at construction
     _hash: int = field(init=False, repr=False, compare=False)
@@ -146,12 +149,7 @@ class FusionVector:
     element of the Grothendieck ring G_0(H_beta)."""
 
     def __init__(self, entries=None):
-        self.entries: dict[CanonLabel, int] = {}
-        if entries:
-            for label, mult in entries.items():
-                if mult:
-                    self.entries[label] = self.entries.get(label, 0) + mult
-            self.entries = {l: m for l, m in self.entries.items() if m}
+        self.entries: dict[CanonLabel, int] = {l: m for l, m in (entries or {}).items() if m}
 
     def __add__(self, other):
         out = FusionVector(dict(self.entries))
@@ -708,10 +706,13 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
 
 def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
     """CanonLabel of a simple module; a built simple's traces are shared with
-    the tensor products it is a factor of."""
+    the tensor products it is a factor of.  Its b and c scalars are read as
+    decompose reads them, so the class depends on the module alone."""
     known = _built_traces(p, m)
     traces = known.traces if known is not None else trace_vector(p, m, 2 * p.n)
-    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in traces), m.label)
+    bc = tuple(p.scalar(base_constant(_action(p, m, g))).key() for g in "bc")
+    bc = () if bc == (p.one.key(),) * 2 else bc
+    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in traces), m.label, bc)
 
 
 def fuse(p: AlgebraParams, l1: SimpleLabel, l2: SimpleLabel) -> FusionVector:

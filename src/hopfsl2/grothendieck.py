@@ -77,18 +77,10 @@ def cls(p: AlgebraParams, label: SimpleLabel) -> FusionVector:
 
 
 def _fuse_cached(p: AlgebraParams, l1: CanonLabel, l2: CanonLabel) -> FusionVector:
-    """fuse of the two displays, cached per class pair.  A CanonLabel leaves
-    out the scalars gamma2, gamma3 by which b and c act, so a pair keeps one
-    result per displays' (gamma2, gamma3).  These are compared, not hashed:
-    a scalar's hash builds a Fraction on every call."""
-    d1, d2 = l1.display, l2.display
-    gammas = (d1.gamma2, d1.gamma3, d2.gamma2, d2.gamma3)
-    results = p.caches.fuse.setdefault((l1, l2), [])
-    for seen, fv in results:
-        if seen == gammas:
-            return fv
-    fv = fuse(p, d1, d2)
-    results.append((gammas, fv))
+    """fuse of the two displays, made once per class pair."""
+    fv = p.caches.fuse.get((l1, l2))
+    if fv is None:
+        fv = p.caches.fuse[l1, l2] = fuse(p, l1.display, l2.display)
     return fv
 
 

@@ -344,15 +344,21 @@ def simple_key(p: AlgebraParams, label: SimpleLabel) -> tuple:
     constant equals its Q(zeta_M) value, and a cyclotomic k-seed equals its
     image at another modulus, yet each prints as given.  So the key holds
     the character data as read through p.scalar (which the builders print),
-    i mod n, r as given (a wrong r fails to build, so it is never stored;
-    build_simple keeps a V_r module under its key without r and its key
-    with r) and the k-seed's own key.  Raises WrongType for an unknown kind
-    and for a VI/VII label without a k-seed.
+    i mod n, r as given (a wrong r fails the V_r build, so it is never
+    stored; build_simple keeps a V_r module under its key without r and its
+    key with r) and the k-seed's own key.  Raises WrongType for an unknown
+    kind, a VI/VII label without a k-seed, and a field that no builder of
+    the kind reads (an r off V_r, a k-seed on V0 or V_r), which would split
+    one simple over several keys.
     """
     if label.kind not in ("V0", "Vr", "VI", "VII"):
         raise WrongType(f"unknown kind {label.kind!r}")
     if label.kind in ("VI", "VII") and label.kseed is None:
         raise WrongType(f"{label.kind} label needs a k-seed (use solve_k_seed)")
+    if label.r is not None and label.kind != "Vr":
+        raise WrongType(f"{label.kind} label takes no r")
+    if label.kseed is not None and label.kind in ("V0", "Vr"):
+        raise WrongType(f"{label.kind} label takes no k-seed")
     kseed = label.kseed
     if kseed is not None:
         kseed = kseed.key() if hasattr(kseed, "key") else Fraction(kseed)

@@ -114,6 +114,22 @@ def test_cli_vk_label_sugar(capsys):
                  "--left", "V2(1,1,1;0)", "--right", "V2(1,1,1;0)"]) == 2
 
 
+def test_cli_label_with_a_stray_r_names_no_module(tmp_path, capsys):
+    """r belongs to Vr labels only: a --left flag with one is a usage error,
+    and a labels file with one is a failed check with a report."""
+    stray = "V0(1,1,1;0;r=3)"
+    assert main(["fuse", "--n", "3", "--n1", "1", "--beta", "0,0,1",
+                 "--left", stray, "--right", "V0(1,1,1;0)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--left {stray} names no simple module" in captured.err
+    labels = tmp_path / "labels.txt"
+    labels.write_text(f"{stray}\n")
+    code = main(["fusion-table", "--n", "3", "--n1", "1", "--beta", "0,0,1",
+                 "--labels-file", str(labels)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["error"] == {"class": "WrongType", "message": "V0 label takes no r"}
+
+
 def test_cli_fusion_table(tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("V0(1,1,1;0)\nVr(sq,1,1;0)\n")

@@ -26,7 +26,7 @@ from hopfsl2.fusion import (
     tensor,
     trace_vector,
 )
-from hopfsl2.grothendieck import canonical_zr_label, cls, default_suite_instances, verify_relation
+from hopfsl2.grothendieck import canonical_zr_label, cls, default_suite_instances, one, verify_relation
 from hopfsl2.linalg import mat_inv, mat_mul
 from hopfsl2.modules import (
     ModuleRep,
@@ -372,6 +372,59 @@ def test_canon_label_hash_is_computed_once_from_the_data(pb3):
     moved = dataclasses.replace(label, kind=other.kind, dim=other.dim, fingerprint=other.fingerprint)
     assert moved != label and moved == other
     assert hash(moved) == hash((other.kind, other.dim, other.fingerprint))
+
+
+def test_classes_that_differ_only_in_b_and_c_are_unequal():
+    """The traces of a^j x^u y^u do not see gamma2, gamma3; the class does."""
+    p = AlgebraParams(3, 1)
+    w, trivial = cls(p, SimpleLabel("V0", p.one, root_of_unity(3, 1), p.one, 0)), one(p)
+    p19 = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    sq, q = p19.sqrt_q, p19.q
+    v, v_swapped = (cls(p19, SimpleLabel("V0", sq, *gammas, 0)) for gammas in ((p19.one, q), (q, p19.one)))
+    for a, b in ((w, trivial), (v, v_swapped)):
+        (la,), (lb,) = a.entries, b.entries
+        assert la.fingerprint == lb.fingerprint and hash(la) == hash(lb)
+        assert a != b and la != lb
+        assert sorted((a + b).entries.values()) == [1, 1]
+
+
+def _bc(p, gamma2, gamma3):
+    """The bc field of a class whose b and c act by gamma2 and gamma3."""
+    gamma2, gamma3 = p.scalar(gamma2), p.scalar(gamma3)
+    return () if gamma2 == gamma3 == p.one else (gamma2.key(), gamma3.key())
+
+
+def _v0_pairs_over_mu3():
+    p = AlgebraParams(3, 1)
+    mu3 = [root_of_unity(3, e) for e in range(3)]
+    labels = [SimpleLabel("V0", p.one, g2, g3, 0) for g2, g3 in itertools.product(mu3, repeat=2)]
+    return p, list(itertools.combinations_with_replacement(labels, 2))
+
+
+def _thm519_vi_pairs():
+    p = AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4))
+    vi = [lab.display for lab, _ in candidate_simples(p, root_of_unity(9, 1), p.one, p.one)]
+    v0 = []
+    for g2, g3 in itertools.product([p.qpow(e) for e in range(3)], repeat=2):
+        try:
+            build_simple(p, SimpleLabel("V0", p.one, g2, g3, 0))
+        except WrongType:
+            continue
+        v0.append(SimpleLabel("V0", p.one, g2, g3, 0))
+    assert len(vi) == 3 and len(v0) == 3
+    return p, list(itertools.product(vi, vi + v0))
+
+
+@pytest.mark.parametrize("case", [_v0_pairs_over_mu3, _thm519_vi_pairs], ids=["v0-mu3", "thm519-vi"])
+def test_every_class_of_a_product_carries_the_product_of_the_factors_bc(case):
+    p, pairs = case()
+    seen = set()
+    for l1, l2 in pairs:
+        want = _bc(p, p.scalar(l1.gamma2) * p.scalar(l2.gamma2), p.scalar(l1.gamma3) * p.scalar(l2.gamma3))
+        fv = fuse(p, l1, l2)
+        assert fv.entries and all(lab.bc == want for lab in fv.entries)
+        seen.add(want)
+    assert () in seen and len(seen) > 1
 
 
 def test_candidate_simples_label_order_is_pinned():

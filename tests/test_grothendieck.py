@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfsl2 import cyclo, fusion, modules
+from hopfsl2 import cyclo, fusion, grothendieck, modules
 from hopfsl2.algebra import AlgebraParams
 from hopfsl2.cyclo import root_of_unity
 from hopfsl2.fusion import FusionVector, candidate_simples, fuse
@@ -41,6 +41,39 @@ def test_fuse_cache_keeps_apart_classes_that_differ_in_b_and_c_scalars():
     w = cls(p, label)
     gr_mul(p, one(p), one(p))
     assert gr_mul(p, w, w).as_dict() == fuse(p, label, label).as_dict()
+
+
+def test_fuse_cache_keeps_one_result_per_class_pair():
+    """[V0(1, z3, 1; 0)] and [1] differ only in b and c: two class pairs,
+    each with one FusionVector."""
+    p = AlgebraParams(3, 1)
+    w = cls(p, SimpleLabel("V0", p.one, root_of_unity(3, 1), p.one, 0))
+    assert gr_mul(p, w + one(p), one(p)) == w + one(p)
+    (lw,), (l1,) = w.entries, one(p).entries
+    assert all(isinstance(fv, FusionVector) for fv in p.caches.fuse.values())
+    assert p.caches.fuse == {(lw, l1): w, (l1, l1): one(p)}
+
+
+def test_z2_zdprime_with_swapped_gamma_slots_does_not_hold():
+    """The thm5.8 z_2 z''_xi relation with its right side read on the V_II
+    side, (gamma2, gamma3) = (c, 1) in place of (1, c), names other
+    classes, so its reading fails while the printed one holds."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1), extra_orders=(9, 4))
+    (bindings,) = [b for rid, b in default_suite_instances(p, "thm5.8") if rid == "thm5.8.z2_zdprime"]
+    assert verify_relation(p, "thm5.8.z2_zdprime", **bindings).passed
+    xi = p.scalar(bindings["xi"])
+    xiq = xi * p.qpow(-p.n1)
+
+    def vt(gammas, i):
+        return cls(p, SimpleLabel("Vr", p.one, *gammas, i, r=p.t))
+
+    eta = cls(p, SimpleLabel("V0", p.sqrt_q, p.qpow(p.n1), p.one, 0))
+    reading = grothendieck._try_reading(
+        "swapped",
+        lambda: gr_mul(p, z_class(p, 2), vt((p.one, xi), 0)),
+        lambda: gr_mul(p, eta, vt((xiq, p.one), 0) + vt((xiq, p.one), p.n - 1)),
+    )
+    assert reading.applicable and reading.holds is False
 
 
 def test_integral_keys_make_no_fraction(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hopfsl2.algebra import AlgebraParams
@@ -321,3 +323,26 @@ def test_build_simple_dispatch_and_label_normalization(pb3):
         build_simple(p, SimpleLabel("Vr", p.sqrt_q, 1, 1, 0, r=3))
     with pytest.raises(WrongType):
         build_simple(p, SimpleLabel("VI", p.q, 1, 1, 0))  # seedless VI
+
+
+def test_stray_label_fields_raise_wrong_type():
+    """Only the V_r builder reads r and only the VI/VII builders read a
+    k-seed; a label carrying the other field would name the same module
+    under a second cache key, so it is refused instead."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    v0 = SimpleLabel("V0", p.one, p.one, p.one, 0)
+    base = build_simple(p, v0)
+    for stray, match in [({"r": 3}, "takes no r"), ({"kseed": 2}, "takes no k-seed")]:
+        for _ in range(2):
+            with pytest.raises(WrongType, match=match):
+                build_simple(p, dataclasses.replace(v0, **stray))
+    with pytest.raises(WrongType, match="takes no k-seed"):
+        build_simple(p, SimpleLabel("Vr", p.sqrt_q, p.one, p.one, 0, kseed=0))
+    assert list(p.caches.modules.values()).count(base) == 1
+    p = AlgebraParams(3, 1, beta=(1, 0, 0), extra_orders=(9,))
+    (vi,) = solve_k_seed(p, "VI", root_of_unity(9, 1), 1, 1, 0)
+    label = SimpleLabel("VI", root_of_unity(9, 1), p.one, p.one, 0, kseed=vi)
+    build_simple(p, label)
+    with pytest.raises(WrongType, match="takes no r"):
+        build_simple(p, dataclasses.replace(label, r=5))
+    assert len(p.caches.modules) == 1
