@@ -167,6 +167,41 @@ def test_tower_constants_hash_as_their_base_values():
     assert hash(seed * 1) == hash(seed)
 
 
+def test_inverse_over_a_reducible_level():
+    """x^2 - 1 over Q(zeta_4) has the root 1, so its level is a ring with
+    zero divisors: s - 1 has no inverse, while s + 2 is still a unit."""
+    tower = Tower.make(tuple(rational(c, 4) for c in (-1, 0, 1)))
+    s = tower.gen()
+    with pytest.raises(DivisionByZero, match="zero divisor"):
+        (s - 1).inv()
+    assert (s + 2) * (s + 2).inv() == 1
+
+
+def _random_tower_scalar(tower, rng):
+    """A tower scalar with small random coefficients, about a third of them
+    zero (so some scalars have a lower degree or are constants)."""
+    base = tower.base_zero()
+    coeffs = []
+    for _ in range(tower.degree):
+        if rng.random() < 0.3:
+            coeffs.append(base)
+        elif isinstance(base, ExtScalar):
+            coeffs.append(_random_tower_scalar(base.tower, rng))
+        else:
+            coeffs.append(CycScalar(base.m, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(base.m))]))
+    return ExtScalar(tower, coeffs)
+
+
+def test_inverse_over_the_nested_thm519_towers():
+    _p, seed = _thm519_tower_seed()
+    rng = random.Random(20261021)
+    for tower in (seed.tower, seed.tower.base_zero().tower):
+        for _ in range(8):
+            x = _random_tower_scalar(tower, rng)
+            if not x.is_zero():
+                assert x * x.inv() == 1 and x.inv() * x == x.one()
+
+
 def _repeated_power(x, k):
     out = x.one()
     for _ in range(abs(k)):

@@ -191,6 +191,16 @@ def test_split_roots_returns_distinct_roots(coeffs, in_field):
     assert all(not (r - s).is_zero() for i, r in enumerate(roots) for s in roots[:i])
 
 
+def test_split_roots_of_the_square_of_a_cubic_with_no_radical_root():
+    """(x^3 - x - 1)^2 over Q(zeta_6): the squarefree step leaves the cubic,
+    whose three distinct roots need a quadratic level over a cubic one."""
+    coeffs = (1, 2, 1, -2, -2, 0, 1)  # (x^3 - x - 1)^2
+    roots, sample = split_roots([rational(c, 6) for c in coeffs])
+    assert sample.tower.degree == 2 and sample.tower.base_zero().tower.degree == 3
+    assert len(roots) == 3 and all(r**3 - r - 1 == 0 for r in roots)
+    assert all(not (r - s).is_zero() for i, r in enumerate(roots) for s in roots[:i])
+
+
 @pytest.mark.parametrize("m", [1, 3, 5, 6])
 def test_split_roots_cube_roots_of_two_at_any_base_modulus(m):
     """x^3 - 2 splits over a tower on Q(zeta_m) whether m is odd or even:
