@@ -100,7 +100,8 @@ def _key_text(key) -> str:
 
 
 class Element:
-    """Finite linear combination of normal-form monomials (no zero terms).
+    """Finite linear combination of normal-form monomials (no zero terms, so
+    equal elements store equal terms).
 
     The same class holds elements of H (x) H, keyed by pairs of monomials
     (TensorElement names it there)."""
@@ -152,7 +153,7 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("Element is not hashable")

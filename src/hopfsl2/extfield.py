@@ -150,45 +150,15 @@ class ExtScalar(_ScalarOps):
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        mp = list(self.tower.minpoly)
-        r0, r1 = mp, list(self.c)
-        zero = self.tower.base_zero()
-        s0, s1 = [zero], [zero.one()]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if not p[i].is_zero():
-                    return i
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            f = r0[d0] * r1[d1].inv()
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] = r0[i + shift] - f * r1[i]
-            s1p = [zero] * shift + s1
-            if len(s0) < len(s1p):
-                s0 = s0 + [zero] * (len(s1p) - len(s0))
-            for i in range(len(s1p)):
-                s0[i] = s0[i] - f * s1p[i]
-        if deg(r1) != 0:
+        # r = t * self mod minpoly; a zero r leaves the gcd, a proper factor
+        _gcd, r, t = _euclid(self.tower.minpoly, self.c)
+        if not r:
             raise DivisionByZero("zero divisor: extension polynomial is reducible")
-        u = r1[0].inv()
+        u = r[0].inv()
         d = self.tower.degree
-        out = [zero] * d
-        for i, x in enumerate(s1):
-            if i < d:
-                out[i] = x * u
-            elif not x.is_zero():
-                raise ArithmeticError("xgcd cofactor degree overflow")
-        return ExtScalar(self.tower, out)
+        if not all(x.is_zero() for x in t[d:]):
+            raise ArithmeticError("xgcd cofactor degree overflow")
+        return ExtScalar(self.tower, [x * u for x in t[:d]] + [self.tower.base_zero()] * (d - len(t)))
 
     def is_zero(self):
         return all(x.is_zero() for x in self.c)
@@ -325,19 +295,6 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _synthetic_divide(coeffs, root):
-    """coeffs / (x - root); coeffs little-endian, exact."""
-    out = []
-    carry = None
-    for c in reversed(list(coeffs)):
-        carry = c if carry is None else c + carry * root
-        out.append(carry)
-    rem = out.pop()
-    if not rem.is_zero():
-        raise ArithmeticError("not a root")
-    return list(reversed(out))
-
-
 def _cyc_candidates(coeffs):
     """Root candidates (rational multiples of roots of unity) over Q(zeta)."""
     cands = []
@@ -354,8 +311,8 @@ def _cyc_candidates(coeffs):
     if coeffs[0].is_zero():
         return cands
     deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    ratio = coeffs[0] * lead.inv()  # product of roots up to sign
+    inv = coeffs[-1].inv()
+    ratio = coeffs[0] * inv  # product of roots up to sign
     dec = ratio.as_rational_multiple_of_root()
     if dec is None:
         return cands
@@ -372,15 +329,15 @@ def _cyc_candidates(coeffs):
             push(-z)
     # pure binomial x^deg - c: exact radical candidates (with unit multiples)
     if all(c.is_zero() for c in coeffs[1:-1]):
-        c0 = -coeffs[0] * lead.inv()
+        c0 = -coeffs[0] * inv
         base = nth_root_of_unity_multiple(c0, deg)
         if base is not None:
             for j in range(deg):
                 push(base * root_of_unity(deg, j))
     # quadratic: discriminant square root
     if deg == 2:
-        b = coeffs[1] * lead.inv()
-        c = coeffs[0] * lead.inv()
+        b = coeffs[1] * inv
+        c = coeffs[0] * inv
         disc = b * b - c * 4
         s = nth_root_of_unity_multiple(disc, 2)
         if s is not None:
@@ -435,7 +392,11 @@ def find_field_roots(coeffs):
         if found is None:
             break
         roots.append(found)
-        work = _synthetic_divide(work, found)
+        # the divisor's 1 is read at work's top modulus, so the quotient's
+        # top coefficient keeps the modulus (and text) it is stored at
+        work, rem = _poly_divmod(work, [-found, work[-1].one()])
+        if rem:
+            raise ArithmeticError("not a root")
     if len(work) == 2:
         roots.append(-work[0] * work[1].inv())
         work = [work[1]]
@@ -460,18 +421,44 @@ def _poly_divmod(f, g):
     return q, r
 
 
+def _poly_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                if not y.is_zero():
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _euclid(f, g):
+    """Euclid's remainder sequence of f and g over a field (little-endian
+    lists, deg g < deg f), run to the first remainder r of degree <= 0 ([]
+    for zero): (the remainder before r, r, t) with r = t * g mod f.  When r
+    is zero, the remainder before it is gcd(f, g) up to a unit."""
+    zero = f[0].zero()
+    r0, r1 = f, list(g)
+    while r1 and r1[-1].is_zero():
+        r1.pop()
+    t0, t1 = [], [zero.one()]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        qt = _poly_mul(q, t1, zero)
+        t0 = t0 + [zero] * (len(qt) - len(t0))
+        r0, r1, t0, t1 = r1, r, t1, [x - y for x, y in zip(t0, qt)]
+    return r0, r1, t1
+
+
 def _squarefree_part(f):
     """f / gcd(f, f') for a monic f of degree >= 1, made monic: each distinct
     root of f once.  Exact Euclid over f's coefficient field (characteristic
     0, so f' != 0), with no factoring."""
-    a, b = f, [c * i for i, c in enumerate(f)][1:]
-    while len(b) > 1:
-        a, b = b, _poly_divmod(a, b)[1]
-    if b:
+    gcd, r, _t = _euclid(f, [c * i for i, c in enumerate(f)][1:])
+    if r:
         # a nonzero constant remainder: f and f' are coprime (stopping here
         # saves inverting it, which over a deep tower is a costly xgcd)
         return f
-    q, _r = _poly_divmod(f, a)
+    q, _r = _poly_divmod(f, gcd)
     lead = q[-1].inv()
     return [c * lead for c in q]
 
@@ -494,8 +481,8 @@ def split_roots(coeffs):
                 roots.append(r)
         if len(work) <= 1:
             return roots, (roots[0] if roots else coeffs[0])
-        lead = work[-1]
-        monic = [c * lead.inv() for c in work]
+        inv = work[-1].inv()
+        monic = [c * inv for c in work]
         squarefree = _squarefree_part(monic)
         if len(squarefree) < len(monic):
             # a repeated root: scan the squarefree part for field roots again
@@ -510,4 +497,6 @@ def split_roots(coeffs):
         s = tower.gen()
         roots = [tower.lift(r) for r in roots]
         roots.append(s)
-        work = _synthetic_divide([tower.lift(c) for c in monic], s)
+        work, rem = _poly_divmod([tower.lift(c) for c in monic], [-s, s.one()])
+        if rem:
+            raise ArithmeticError("not a root")

@@ -676,17 +676,6 @@ def _fmt_bindings(bindings) -> str:
     return ", ".join(f"{k}={v!r}" for k, v in sorted(bindings.items()))
 
 
-def _resolve_vi(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI") -> FusionVector:
-    """The unique VI/VII seed-class at the character; raises when ambiguous."""
-    choices = _vi_choices(p, g1, gamma2, gamma3, kind)
-    if len(choices) > 1:
-        raise UnboundGenerator(
-            f"{len(choices)} non-isomorphic {kind} seed-classes at this character; "
-            "the displayed generator is ambiguous"
-        )
-    return choices[0][1]
-
-
 # -- suites ------------------------------------------------------------------
 
 
@@ -739,12 +728,7 @@ def _aux_root(p: AlgebraParams, avoid_pows=()):
 
     for d in sorted(divisors(p.M), reverse=True):
         z = root_of_unity(p.M, p.M // d)
-        ok = True
-        for cond in avoid_pows:
-            if cond(z):
-                ok = False
-                break
-        if ok and d > 1:
+        if d > 1 and not any(cond(z) for cond in avoid_pows):
             return z
     raise UnboundGenerator("no auxiliary root of unity available; enlarge extra_orders")
 
@@ -967,19 +951,29 @@ class GelakiContext:
 
     def _h_for_power_relation(self) -> FusionVector:
         name, _order, candidates = self.h_candidates()
-        for _conv, h, _err in candidates:
-            if h is not None:
-                return h
-        raise UnboundGenerator(f"{name} names no module under either root convention")
+        h = next((h for _conv, h, _err in candidates if h is not None), None)
+        if h is None:
+            raise UnboundGenerator(f"{name} names no module under either root convention")
+        return h
 
     def _star_power(self, kind: str, relation_id: str, name: str) -> RelationReport:
         """Cor 5.11 / 5.14 / 5.16: star^(N/(N/n,n1)) = n^(...-1) s h (beta3 = 0),
         with x* or y* = [V(frak_q^n, 1, 1; 0)] of the kind (its unique seed-class)."""
         p, N = self.p, self.N
         D = N // math.gcd(N // p.n, p.n1)
+
+        def star():
+            choices = _vi_choices(p, self.frak_q, p.one, p.one, kind)
+            if len(choices) > 1:
+                raise UnboundGenerator(
+                    f"{len(choices)} non-isomorphic {kind} seed-classes at this character; "
+                    "the displayed generator is ambiguous"
+                )
+            return choices[0][1]
+
         reading = _try_reading(
             f"{name}^{D} = n^{D-1} s h",
-            lambda: gr_pow(p, _resolve_vi(p, self.frak_q, p.one, p.one, kind), D),
+            lambda: gr_pow(p, star(), D),
             lambda: gr_mul(p, s_full(p), self._h_for_power_relation()).scale(p.n ** (D - 1)),
         )
         return RelationReport(relation_id, f"N={N}", [reading])

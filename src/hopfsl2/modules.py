@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .algebra import AlgebraParams
-from .extfield import field_zero, find_field_roots, lift, split_roots
+from .extfield import _poly_mul, field_zero, find_field_roots, lift, split_roots
 from .linalg import (
     identity,
     mat_add,
@@ -395,16 +395,6 @@ def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
 
 
 # -- k-seed solving --------------------------------------------------------
-
-
-def _poly_mul(a, b, zero):
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-    return out
 
 
 def seed_polynomial(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int):

@@ -301,6 +301,23 @@ def test_mul_matches_word_rewriter_property():
     check()
 
 
+def test_equality_agrees_with_a_zero_difference_property():
+    """Element == compares stored terms; it must agree with a - b == 0 on
+    elements and on tensor elements, equal or not."""
+    hypothesis, pairs = _element_pairs()
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=80)
+    @hypothesis.given(pairs)
+    def check(data):
+        p, u, v = data
+        du, dv = p.coproduct(u), p.coproduct(v)
+        for a, b in ((u, v), (u, u + v - v), (u + v, v + u), (du, dv), (du, p.coproduct(u + v) - dv)):
+            assert (a == b) == (a - b).is_zero() == (b == a)
+        assert (u == v + (u - v)) and not (u == u + p.unit().scale(p.q))
+
+    check()
+
+
 def test_coproduct_and_antipode_on_generated_pairs():
     hypothesis, pairs = _element_pairs()
 

@@ -274,3 +274,30 @@ def test_cli_library_error_in_a_quotient_suite_exits_1_with_error_block(monkeypa
         "message": "candidate trace vectors are linearly dependent (rank < 2)",
     }
     assert "error: RankDeficient: candidate trace vectors are linearly dependent" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, method, error",
+    [
+        ("integral-check", "check_integral", "IntegralCheckFailed"),
+        ("idempotents", "central_idempotents", "PreconditionViolated"),
+    ],
+)
+def test_cli_quotient_command_error_has_the_one_error_shape(monkeypatch, capsys, command, method, error):
+    """A typed error of a quotient command reaches the report's top-level
+    error block and stderr, as every other command's does."""
+    from hopfsl2 import algebra
+    from hopfsl2.algebra import QuotientParams
+
+    def failing(self):
+        raise getattr(algebra, error)("forced failure")
+
+    monkeypatch.setattr(QuotientParams, method, failing)
+    code = main([command, "--n", "3", "--n1", "1", "--beta", "1,1,1", "--m", "1"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1
+    assert rep["command"] == command and rep["pass"] is False
+    assert "results" not in rep
+    assert rep["error"] == {"class": error, "message": "forced failure"}
+    assert f"error: {error}: forced failure" in captured.err
