@@ -17,7 +17,7 @@ from hopfsl2.cyclo import (
     rational,
     root_of_unity,
 )
-from hopfsl2.extfield import ExtScalar, Tower
+from hopfsl2.extfield import ExtScalar, Tower, _poly_divmod, _poly_mul
 from hopfsl2.modules import solve_k_seed
 
 
@@ -200,6 +200,47 @@ def test_inverse_over_the_nested_thm519_towers():
             x = _random_tower_scalar(tower, rng)
             if not x.is_zero():
                 assert x * x.inv() == 1 and x.inv() * x == x.one()
+
+
+def test_poly_divmod_by_monic_and_non_monic_divisors():
+    """q g + r == f with deg r < deg g and no zero top in r, over Q(zeta_12)
+    and over both levels of the thm5.19 tower, for monic divisors (every
+    root division) and non-monic ones (the Euclid steps)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _p, seed = _thm519_tower_seed()
+    zeros = (rational(0, 12), seed.tower.base_zero(), seed.zero())
+
+    def scalars(zero):
+        if isinstance(zero, ExtScalar):
+            coeffs = st.lists(scalars(zero.tower.base_zero()), min_size=zero.tower.degree, max_size=zero.tower.degree)
+            return coeffs.map(lambda c: ExtScalar(zero.tower, c))
+        phi = euler_phi(zero.m)
+        coeffs = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)
+        return st.one_of(st.just(zero), coeffs.map(lambda c: CycScalar(zero.m, c)))
+
+    def cases(zero):
+        polys = st.lists(scalars(zero), min_size=1, max_size=5)
+        return st.tuples(st.just(zero), polys, st.lists(scalars(zero), min_size=1, max_size=3), st.booleans())
+
+    @hypothesis.settings(hypothesis.settings.get_profile("hopfsl2"), max_examples=60)
+    @hypothesis.given(st.sampled_from(zeros).flatmap(cases))
+    def check(case):
+        zero, f, g, monic = case
+        if monic:
+            g = g + [zero.one()]
+        hypothesis.assume(not g[-1].is_zero())
+        q, r = _poly_divmod(f, g)
+        assert len(q) == max(len(f) - len(g) + 1, 0)
+        assert len(r) < len(g) and not (r and r[-1].is_zero())
+        qg = _poly_mul(q, g, zero) if q else []
+        total = [zero] * max(len(f), len(qg), len(r))
+        for part in (qg, r):
+            for e, x in enumerate(part):
+                total[e] = total[e] + x
+        assert all(x == y for x, y in zip(total, f)) and all(x.is_zero() for x in total[len(f) :])
+
+    check()
 
 
 def _repeated_power(x, k):

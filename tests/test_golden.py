@@ -21,6 +21,8 @@ LABELS = "V0(1,1,1;0)\nVr(sq,1,1;0)\n"
 COMMANDS = {
     "verify_axioms": "verify-axioms --n 3 --n1 1 --beta 1,1,1 --seed 7",
     "build_module_vr": "build-module --n 3 --n1 1 --beta 0,0,1 --kind Vr --g1 sq --i 0",
+    # the 1-dimensional V0 matrices at a shifted top eigenvalue
+    "build_module_v0": "build-module --n 3 --n1 1 --beta 0,0,0 --kind V0 --g1 q --gamma2 q --i 1",
     "fuse_vr": "fuse --n 3 --n1 1 --beta 0,0,1 --left Vr(sq,1,1;0) --right Vr(sq,1,1;0)",
     "fusion_table": "fusion-table --n 3 --n1 1 --beta 0,0,1 --labels-file LABELS",
     "relations_thm55": "verify-relations --suite thm5.5 --n 3 --n1 1 --beta 0,0,1 --extra-orders 8",

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -397,3 +399,41 @@ def test_reading_names_of_mirrored_relations(suite, beta, extra, relation, expec
         if rid == relation
     ]
     assert got == expected
+
+
+# recorded from the bindings of default_suite_instances before it was
+# rewritten to state each root and square pair once
+SUITE_INSTANCES_SHA256 = "95934dba4da521707fe1dc44762aa70ddf8fd65766227ca294b85bee47562c30"
+
+
+def _suite_instances_text() -> str:
+    """default_suite_instances over n = 2..4, n1 <= n, every beta in
+    {0,1}^3, five extra-order sets and every relation suite plus an unknown
+    name: per case its relation ids with their sorted (name, repr(value))
+    bindings, or the exception's class and message."""
+    lines = []
+    suites = ("thm5.5", "thm5.8", "thm5.10", "thm5.13", "thm5.15", "thm5.17", "thm5.19", "nosuch")
+    for n in range(2, 5):
+        for n1 in range(1, n + 1):
+            for beta in itertools.product((0, 1), repeat=3):
+                for extra in ((), (n * n,), (4 * n,), (9, 4), (36,)):
+                    p = AlgebraParams(n, n1, beta=beta, extra_orders=extra)
+                    for suite in suites:
+                        try:
+                            body = repr(
+                                [(rid, sorted((k, repr(v)) for k, v in b.items()))
+                                 for rid, b in default_suite_instances(p, suite)]
+                            )
+                        except Exception as exc:  # noqa: BLE001 - the error is the pinned output
+                            body = f"{type(exc).__name__}: {exc}"
+                        lines.append(f"{n} {n1} {beta} {extra} {suite}: {body}")
+    return "\n".join(lines) + "\n"
+
+
+def test_default_suite_instances_are_pinned():
+    """Every binding the suites run, over 2,880 (point, suite) cases, hashes
+    to the text recorded before default_suite_instances was rewritten."""
+    text = _suite_instances_text()
+    assert text.count("\n") == 2880
+    assert text.count("UnboundGenerator") == 336
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_INSTANCES_SHA256
