@@ -228,16 +228,11 @@ class CycScalar(_ScalarOps):
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def from_rational(x, m: int = 1) -> "CycScalar":
-        f = x if isinstance(x, int) else Fraction(x)
-        return _rational(m, f.numerator, f.denominator)
-
     def zero(self) -> "CycScalar":
-        return CycScalar.from_rational(0, self.m)
+        return _rational(self.m, 0, 1)
 
     def one(self) -> "CycScalar":
-        return CycScalar.from_rational(1, self.m)
+        return _rational(self.m, 1, 1)
 
     # -- embedding ----------------------------------------------------
 
@@ -481,7 +476,9 @@ def root_of_unity(m: int, k: int) -> CycScalar:
 
 
 def rational(x, m: int = 1) -> CycScalar:
-    return CycScalar.from_rational(x, m)
+    """x (an int, or anything Fraction reads) in Q(zeta_m)."""
+    f = x if isinstance(x, int) else Fraction(x)
+    return _rational(m, f.numerator, f.denominator)
 
 
 def common_modulus(*orders: int) -> int:

@@ -30,6 +30,7 @@ from .cyclo import (
     _rational_nth_root,
     _ScalarOps,
     nth_root_of_unity_multiple,
+    rational,
     root_of_unity,
 )
 
@@ -53,12 +54,8 @@ class Tower:
 
     @staticmethod
     def make(minpoly) -> "Tower":
-        key = ("tower", tuple(c.key() for c in minpoly))
-        cached = _TOWER_CACHE.get(key)
-        if cached is None:
-            cached = Tower(minpoly)
-            _TOWER_CACHE[key] = cached
-        return cached
+        tower = Tower(minpoly)
+        return _TOWER_CACHE.setdefault(tower.key(), tower)
 
     def __init__(self, minpoly):
         mp = tuple(minpoly)  # monic, little-endian, length d+1, base scalars
@@ -129,12 +126,7 @@ class ExtScalar(_ScalarOps):
         a, b = self._pair(other)
         d = a.tower.degree
         zero = a.tower.base_zero()
-        prod = [zero] * (2 * d - 1)
-        for i, x in enumerate(a.c):
-            if not x.is_zero():
-                for j, y in enumerate(b.c):
-                    if not y.is_zero():
-                        prod[i + j] = prod[i + j] + x * y
+        prod = _poly_mul(a.c, b.c, zero)
         mp = a.tower.minpoly
         for e in range(2 * d - 2, d - 1, -1):
             coeff = prod[e]
@@ -206,7 +198,7 @@ def lift(x, zero):
         return x.embed(zero.m)
     if isinstance(x, ExtScalar):
         raise TypeError("cannot lower an extension scalar into a cyclotomic field")
-    return CycScalar.from_rational(Fraction(x), zero.m)
+    return rational(x, zero.m)
 
 
 def read_in(x, zero):
@@ -405,15 +397,17 @@ def find_field_roots(coeffs):
 
 def _poly_divmod(f, g):
     """(quotient, remainder) of f by g over a field: little-endian lists, g
-    with a nonzero top coefficient, the remainder with no zero top."""
+    with a nonzero top coefficient, the remainder with no zero top.  A monic
+    g (every division by x - root) takes no inverse and no product by it."""
     dg = len(g) - 1
     r = list(f)
-    inv = g[-1].inv()
+    inv = None if g[-1] == g[-1].one() else g[-1].inv()
     q = [None] * max(len(r) - dg, 0)
     for e in range(len(r) - 1, dg - 1, -1):
-        c = q[e - dg] = r[e] * inv
+        c = q[e - dg] = r[e] if inv is None else r[e] * inv
         if not c.is_zero():
-            for i in range(dg + 1):
+            # r[e] itself is eliminated, and nothing reads it again
+            for i in range(dg):
                 r[e - dg + i] = r[e - dg + i] - c * g[i]
     r = r[:dg]
     while r and r[-1].is_zero():

@@ -381,7 +381,7 @@ def _action(p: AlgebraParams, m: ModuleRep, g: str):
     known = _built_traces(p, m)
     if known is not None:
         return {"b": known.gamma2, "c": known.gamma3, "a^n": known.gamma1}[g]
-    return _power_action(p, m.mat("a")) if g == "a^n" else _scalar_action(m.mat(g), g)
+    return _scalar_action(mat_pow(m.mat("a"), p.n) if g == "a^n" else m.mat(g), g)
 
 
 def _trace_rows(p: AlgebraParams, m: ModuleRep) -> list:
@@ -573,7 +573,15 @@ class CharacterBasis(list):
         return self.factorization
 
 
-def _character_basis(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
+def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
+    """All iso-classes of simples with central character (g1^n, gamma2, gamma3).
+
+    Returns the cached CharacterBasis, a list of (CanonLabel, ModuleRep)
+    deduplicated by exact trace fingerprint.  VI/VII k-seeds are solved
+    exactly; when no cyclotomic seed exists, the seed polynomial is split
+    over an extension tower.  Each candidate is build_simple's module for
+    its label, and its class and rows come from that module's trace record.
+    """
     g1, gamma2, gamma3 = p.scalar(g1), p.scalar(gamma2), p.scalar(gamma3)
     key = (g1.key(), gamma2.key(), gamma3.key())
     basis = p.caches.character_bases.get(key)
@@ -601,16 +609,8 @@ def _character_basis(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     return basis
 
 
-def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
-    """All iso-classes of simples with central character (g1^n, gamma2, gamma3).
-
-    Returns the cached CharacterBasis, a list of (CanonLabel, ModuleRep)
-    deduplicated by exact trace fingerprint.  VI/VII k-seeds are solved
-    exactly; when no cyclotomic seed exists, the seed polynomial is split
-    over an extension tower.  Each candidate is build_simple's module for
-    its label, and its class and rows come from that module's trace record.
-    """
-    return _character_basis(p, g1, gamma2, gamma3)
+# the basis function's former private name, which tests still call it by
+_character_basis = candidate_simples
 
 
 def _sorted_seeds(seeds):
@@ -643,15 +643,6 @@ def _scalar_action(mat, name: str):
             if not (x - s if i == j else x).is_zero():
                 raise WrongType(f"{name} does not act as a scalar")
     return s
-
-
-def _power_action(p: AlgebraParams, A):
-    """The scalar by which a^n acts when a acts by A; WrongType when it is
-    not a scalar.  A diagonal A, as on every simple, has only its diagonal
-    powered."""
-    if any(not x.is_zero() for i, row in enumerate(A) for k, x in enumerate(row) if i != k):
-        return _scalar_action(mat_pow(A, p.n), "a^n")
-    return _scalar_action([[x**p.n if i == k else x for k, x in enumerate(row)] for i, row in enumerate(A)], "a^n")
 
 
 def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:

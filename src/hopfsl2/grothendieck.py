@@ -175,28 +175,21 @@ def chebyshev_z(p: AlgebraParams, r: int) -> FusionVector:
 # -- expected-class helpers --------------------------------------------------
 
 
-def vclass(p: AlgebraParams, g1, gamma2, gamma3, i: int, expected_r: int) -> FusionVector:
-    """Class of V_r(g1, gamma2, gamma3; i) (V0 when expected_r == 1).
-
-    Raises WrongType when the label's computed r disagrees with expected_r,
-    which marks a printed reading as inapplicable."""
-    if expected_r == 1:
-        return cls(p, SimpleLabel("V0", g1, gamma2, gamma3, i))
-    return cls(p, SimpleLabel("Vr", g1, gamma2, gamma3, i, r=expected_r))
-
-
 def chain_pairs(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> FusionVector:
     """Composition factors of a cyclic x-chain of length t with y-killed top.
 
     The slot with top eigenvalue g1 q^i splits as V_s + V_(t-s)(top q^-s)
-    at the minimal s with k_s = 0, or stays a single V_t."""
+    at the minimal s with k_s = 0, or stays a single V_t.  Each factor of
+    dimension 1 is a V0 class; a V_r class whose computed r disagrees
+    raises WrongType, which marks a printed reading as inapplicable."""
     _b1, _b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     s = r_value(p, mu, gamma2, gamma3)
     t = p.t
-    if s is None or s == t:
-        return vclass(p, g1, gamma2, gamma3, i, expected_r=t)
-    out = vclass(p, g1, gamma2, gamma3, i, expected_r=s)
-    return out + vclass(p, g1, gamma2, gamma3, i - s, expected_r=t - s)
+    out = FusionVector()
+    for j, r in [(i, t)] if s is None or s == t else [(i, s), (i - s, t - s)]:
+        kind, r = ("V0", None) if r == 1 else ("Vr", r)
+        out = out + cls(p, SimpleLabel(kind, g1, gamma2, gamma3, j, r=r))
+    return out
 
 
 def vi_family(p: AlgebraParams, g1, gamma2, gamma3, kind: str = "VI"):
@@ -669,11 +662,7 @@ def verify_relation(p: AlgebraParams, relation_id: str, **bindings) -> RelationR
         readings = fn(p, **bindings)
     except (WrongType, UnboundGenerator) as exc:
         readings = [Reading("bindings", False, None, f"inapplicable: {exc}")]
-    return RelationReport(relation_id, _fmt_bindings(bindings), readings)
-
-
-def _fmt_bindings(bindings) -> str:
-    return ", ".join(f"{k}={v!r}" for k, v in sorted(bindings.items()))
+    return RelationReport(relation_id, ", ".join(f"{k}={v!r}" for k, v in sorted(bindings.items())), readings)
 
 
 # -- suites ------------------------------------------------------------------
@@ -735,94 +724,76 @@ def _aux_root(p: AlgebraParams, avoid_pows=()):
 
 def default_suite_instances(p: AlgebraParams, suite: str):
     """Reasonable parameter bindings for each relation suite at the given p."""
-    t = p.t
 
     def gamma1_n1_is_one(z):
         # a V_I/V_II generator at g1 = z needs gamma1^n1 = (z^n)^n1 != 1
         return ((z ** p.n) ** p.n1 - p.one).is_zero()
 
+    def has_r(slot):
+        # a z-type generator needs its slot of the character (mu, gamma2,
+        # gamma3), the others 1, outside <q^n1>: r_value finds no r
+        return lambda z: r_value(p, *(z if k == slot else p.one for k in range(3))) is not None
+
+    def squares(rid, name, g1, c2, c2_inv):
+        # the generator at (g1, c2) times itself and times its inverse
+        a = {"g1a": g1, name + "a": c2}
+        return [(rid, {**a, "g1b": g1, name + "b": c2}), (rid, {**a, "g1b": g1.inv(), name + "b": c2_inv})]
+
     if suite == "thm5.5":
         out = [("thm5.5.star1", {})]
-        for r in range(2, t + 1):
+        for r in range(2, p.t + 1):
             out.append(("thm5.5.zr_z2", {"r": r}))
             out.append(("thm5.5.chebyshev", {"r": r}))
         # a z'-generator needs g1 with g1^(2 n1) outside <q^n1>
         try:
-            xi = _aux_root(p, avoid_pows=[lambda z: r_value(p, z, p.one, p.one) is not None])
+            xi = _aux_root(p, avoid_pows=[has_r(0)])
             out.append(("thm5.5.z2_zprime", {"g1xi": xi}))
             out.append(("thm5.5.zprime_zprime", {"g1a": xi, "g1b": xi}))
             out.append(("thm5.5.zprime_zprime", {"g1a": xi, "g1b": xi.inv()}))
         except UnboundGenerator:
             pass
         return out
+    if suite not in ("thm5.8", "thm5.10", "thm5.13", "thm5.15", "thm5.17", "thm5.19"):
+        raise KeyError(f"no default instances for suite {suite!r}")
+    # the V_I generator root zeta1 (eps1 for V_II); zeta2 = zeta1^n1 keeps
+    # the k-seed constraint target zero (in-field seeds)
+    zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
+    z2 = zeta1**p.n1
     if suite == "thm5.8":
-        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
-        xi = _aux_root(p, avoid_pows=[lambda z: r_value(p, p.one, p.one, z) is not None])
+        xi = _aux_root(p, avoid_pows=[has_r(2)])
         return [
             ("thm5.8.z2_x", {"g1z": zeta1, "zeta2": 1}),
             ("thm5.8.z2_zdprime", {"xi": xi}),
             ("thm5.8.x_zdprime", {"g1z": zeta1, "zeta2": 1, "xi": xi}),
             ("thm5.8.zd_zd", {"xi": xi, "xip": xi}),
             ("thm5.8.zd_zd", {"xi": xi, "xip": xi.inv()}),
-            ("x_times_x", {"g1a": zeta1, "zeta2a": 1, "g1b": zeta1, "zeta2b": 1}),
-            ("x_times_x", {"g1a": zeta1, "zeta2a": 1, "g1b": zeta1.inv(), "zeta2b": 1}),
-        ]
-    if suite in ("thm5.10", "thm5.15"):
-        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
-        # zeta2 = zeta1^n1 keeps the k-seed constraint target zero (in-field seeds)
-        z2a = zeta1**p.n1
-        out = [
-            ("x_times_x", {"g1a": zeta1, "zeta2a": z2a, "g1b": zeta1, "zeta2b": z2a}),
-            ("x_times_x", {"g1a": zeta1, "zeta2a": z2a, "g1b": zeta1.inv(), "zeta2b": z2a.inv()}),
-        ]
-        if suite == "thm5.15":
-            out.append(
-                ("x_times_y", {"g1z": zeta1, "zeta2": z2a, "g1e": zeta1, "eps2": z2a})
-            )
-        return out
+        ] + squares("x_times_x", "zeta2", zeta1, 1, 1)
     if suite == "thm5.13":
-        eps1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
-        e2 = eps1**p.n1
-        return [
-            ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1, "eps2b": e2}),
-            ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1.inv(), "eps2b": e2.inv()}),
-        ]
+        return squares("y_times_y", "eps2", zeta1, z2, z2.inv())
     if suite == "thm5.17":
-        eps1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
-        e2 = eps1**p.n1
-        xi = _aux_root(p, avoid_pows=[lambda z: r_value(p, p.one, z, p.one) is not None])
+        xi = _aux_root(p, avoid_pows=[has_r(1)])
         return [
             ("thm5.17.z2_ztilde", {"xi": xi}),
-            ("thm5.17.y_ztilde", {"g1e": eps1, "eps2": e2, "xi": xi}),
+            ("thm5.17.y_ztilde", {"g1e": zeta1, "eps2": z2, "xi": xi}),
             ("thm5.17.zt_zt", {"xi": xi, "xip": xi}),
             ("thm5.17.zt_zt", {"xi": xi, "xip": xi.inv()}),
-            ("y_times_y", {"g1a": eps1, "eps2a": e2, "g1b": eps1, "eps2b": e2}),
-        ]
-    if suite == "thm5.19":
-        zeta1 = _aux_root(p, avoid_pows=[gamma1_n1_is_one])
-        z2a = zeta1**p.n1
-        out = [
-            ("thm5.5.star1", {}),
-            ("thm5.5.zr_z2", {"r": 2}),
-            ("x_times_x", {"g1a": zeta1, "zeta2a": z2a, "g1b": zeta1, "zeta2b": z2a}),
-            ("x_times_x", {"g1a": zeta1, "zeta2a": z2a, "g1b": zeta1.inv(), "zeta2b": z2a.inv()}),
-            ("x_times_y", {"g1z": zeta1, "zeta2": z2a, "g1e": zeta1, "eps2": z2a}),
-        ]
-        try:
-            # a z'-generator needs gamma1^n1 = 1 with g1^(2 n1) outside <q^n1>;
-            # no such root exists at small n (e.g. (3,1)) and the entry is skipped
-            xi = _aux_root(
-                p,
-                avoid_pows=[
-                    lambda z: not gamma1_n1_is_one(z),
-                    lambda z: r_value(p, z, p.one, p.one) is not None,
-                ],
-            )
-            out.insert(2, ("thm5.19.x_zprime", {"g1z": zeta1, "zeta2": z2a, "g1xi": xi}))
-        except UnboundGenerator:
-            pass
+        ] + squares("y_times_y", "eps2", zeta1, z2, z2.inv())[:1]
+    out = squares("x_times_x", "zeta2", zeta1, z2, z2.inv())
+    if suite == "thm5.10":
         return out
-    raise KeyError(f"no default instances for suite {suite!r}")
+    out.append(("x_times_y", {"g1z": zeta1, "zeta2": z2, "g1e": zeta1, "eps2": z2}))
+    if suite == "thm5.15":
+        return out
+    # thm5.19
+    out[:0] = [("thm5.5.star1", {}), ("thm5.5.zr_z2", {"r": 2})]
+    try:
+        # a z'-generator needs gamma1^n1 = 1 with g1^(2 n1) outside <q^n1>;
+        # no such root exists at small n (e.g. (3,1)) and the entry is skipped
+        xi = _aux_root(p, avoid_pows=[lambda z: not gamma1_n1_is_one(z), has_r(0)])
+        out.insert(2, ("thm5.19.x_zprime", {"g1z": zeta1, "zeta2": z2, "g1xi": xi}))
+    except UnboundGenerator:
+        pass
+    return out
 
 
 # -- Gelaki / Radford specialization ----------------------------------------

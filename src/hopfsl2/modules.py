@@ -195,8 +195,7 @@ def build_V0(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     if not (b1.is_zero() and b2.is_zero() and b3.is_zero()):
         raise WrongType("V0 requires beta1'' = beta2'' = beta3''(i) = 0")
     label = _label(p, "V0", g1, gamma2, gamma3, i)
-    mats = {"a": [[mu]], "b": [[label.gamma2]], "c": [[label.gamma3]], "x": [[p.zero]], "y": [[p.zero]]}
-    return ModuleRep(1, mats, label, p)
+    return _chain_module(p, label, p.zero, mu, gamma2, gamma3, "x", p.zero, [], p.zero)
 
 
 def _seed_affine_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, lead, steps: int):
@@ -397,41 +396,35 @@ def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
 # -- k-seed solving --------------------------------------------------------
 
 
-def seed_polynomial(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int):
-    """The degree-n constraint on the k-seed, as little-endian coefficients."""
-    b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
-    _check_cyclic_kind(kind, b1, b2)
-    poly = [p.zero, p.one]
-    for alpha, delta in _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2):
-        poly = _poly_mul(poly, [delta, alpha], p.zero)
-    poly[0] = poly[0] - (b2 if kind == "VI" else b1)
-    return poly
-
-
 def solve_k_seed(
     p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, allow_extension: bool = False
 ):
     """All seeds of the degree-n constraint found in the working field.
 
-    When the constraint target is zero the polynomial is a product of affine
-    forms and every root is written down exactly.  Otherwise roots are found
-    by the candidate scan; with allow_extension=True the polynomial is split
-    completely over an extension tower and its distinct roots are returned
-    (in that tower's field; all n when it is squarefree).  Raises
+    The constraint is s * prod_j (alpha_j s + delta_j) = target.  When the
+    target is zero every root is written down exactly.  Otherwise roots are
+    found by the candidate scan; with allow_extension=True the polynomial is
+    split completely over an extension tower and its distinct roots are
+    returned (in that tower's field; all n when it is squarefree).  Raises
+    WrongType when the character has no module of the kind, and
     FieldTooSmall when no in-field root is found and extensions are off.
     """
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
+    _check_cyclic_kind(kind, b1, b2)
+    forms = _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2)
     target = b2 if kind == "VI" else b1
     if target.is_zero():
-        # P(s) = s * prod_j (alpha_j s + delta_j): roots are exact
+        # each alpha_j is the nonzero beta'' of the kind times a power of q
         roots = [p.zero]
-        for alpha, delta in _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2):
-            if not alpha.is_zero():
-                root = -delta * alpha.inv()
-                if all(not (root - r).is_zero() for r in roots):
-                    roots.append(root)
+        for alpha, delta in forms:
+            root = -delta * alpha.inv()
+            if all(not (root - r).is_zero() for r in roots):
+                roots.append(root)
         return roots
-    poly = seed_polynomial(p, kind, g1, gamma2, gamma3, i)
+    poly = [p.zero, p.one]
+    for alpha, delta in forms:
+        poly = _poly_mul(poly, [delta, alpha], p.zero)
+    poly[0] = poly[0] - target
     if allow_extension:
         roots, _sample = split_roots(poly)
         return roots

@@ -252,6 +252,18 @@ def test_cli_typed_library_error_exits_1_with_report(tmp_path, capsys):
     assert "error: WrongType: Vr requires beta3''(i) != 0" in captured.err
 
 
+def test_cli_build_module_of_a_missing_kind_exits_1_with_error_block(capsys):
+    """At beta = 0 the character (1, 1, 1) has no V_I module, so its seed
+    solve is a typed error with a report, not a seed list to index into."""
+    code = main(["build-module", "--n", "3", "--n1", "1", "--beta", "0,0,0", "--kind", "VI",
+                 "--g1", "1", "--kseed-index", "1"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1 and rep["command"] == "build-module" and rep["pass"] is False
+    assert rep["error"] == {"class": "WrongType", "message": "VI requires beta1'' != 0"}
+    assert "error: WrongType: VI requires beta1'' != 0" in captured.err
+
+
 def test_cli_library_error_in_a_quotient_suite_exits_1_with_error_block(monkeypatch, capsys):
     """A library error inside a quotient suite is a failed check with the
     report's top-level error block, not a row of the results."""

@@ -157,6 +157,16 @@ def test_vii_mirror():
         build_VII(p, 1, 1, 1, 0, p.zero)  # beta2'' = 0 there
 
 
+@pytest.mark.parametrize("kind, message", [("VI", "VI requires beta1'' != 0"), ("VII", "VII requires beta2'' != 0")])
+def test_solve_k_seed_refuses_a_kind_the_character_lacks(kind, message):
+    """At beta = 0 every beta'' vanishes, so neither cyclic kind exists and
+    the constraint target is zero: the solve raises, not returns s = 0."""
+    p = AlgebraParams(3, 1)
+    with pytest.raises(WrongType) as info:
+        solve_k_seed(p, kind, 1, 1, 1, 0)
+    assert str(info.value) == message
+
+
 def test_solve_k_seed_extension():
     """At beta = (1,1,0), character (-1,1,1): the seed is a cube root of -1/2."""
     p = AlgebraParams(3, 1, beta=(1, 1, 0), extra_orders=(6,))
