@@ -823,6 +823,37 @@ def test_vr_label_without_r_shares_the_built_module(monkeypatch, first):
     assert calls == []
 
 
+def _candidate_points():
+    """(params, g1) of four characters whose 13 candidates are of kinds V0,
+    Vr, VI and VII; those of the thm5.19 point live two tower steps deep."""
+    p = AlgebraParams(3, 1, beta=(0, 0, 1))
+    yield p, p.q * p.q
+    yield AlgebraParams(3, 1, beta=(1, 1, 1), extra_orders=(9, 4)), root_of_unity(9, 1)
+    yield AlgebraParams(3, 1, beta=(0, 1, 1), extra_orders=(9,)), root_of_unity(9, 1)
+    yield AlgebraParams(4, 1, beta=(1, 0, 1), extra_orders=(16,)), root_of_unity(16, 1)
+
+
+def test_built_simples_read_as_their_unmarked_copies():
+    """A built simple's scalars are read off its first diagonal entries; an
+    unmarked copy of its matrices is read through the scalar checks.  Both
+    readings give one class, with one bc, and one decompose of the product
+    with the trivial module."""
+    kinds, nested, count = set(), 0, 0
+    for p, g1 in _candidate_points():
+        trivial = build_simple(p, SimpleLabel("V0", p.one, p.one, p.one, 0))
+        for lab, m in candidate_simples(p, g1, p.one, p.one):
+            copy = ModuleRep(m.dim, m.mats, m.label, p)
+            assert class_of(p, copy) == class_of(p, m) == lab
+            assert class_of(p, copy).bc == lab.bc
+            via_copy = decompose(p, tensor(p, copy, trivial, check=False), m.label.g1)
+            assert via_copy == decompose(p, tensor(p, m, trivial, check=False), m.label.g1)
+            kinds.add(m.label.kind)
+            zero = m.zero_scalar()
+            nested += isinstance(zero, ExtScalar) and isinstance(zero.tower.base_zero(), ExtScalar)
+            count += 1
+    assert kinds == {"V0", "Vr", "VI", "VII"} and count == 13 and nested == 3
+
+
 # -- multiplicities from rational coordinates over a tower ---------------------
 
 

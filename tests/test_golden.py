@@ -36,6 +36,8 @@ COMMANDS = {
     "build_module_nested_tower": (
         "build-module --n 3 --n1 1 --beta 1,1,1 --kind VI --g1 z9 --kseed-index 2 --extra-orders 9 4"
     ),
+    # a y-up chain: V_II with the k-coefficients on x
+    "build_module_vii": "build-module --n 3 --n1 1 --beta 0,1,1 --kind VII --g1 z9 --kseed-index 1 --extra-orders 9",
     "relations_thm519": "verify-relations --suite thm5.19 --n 3 --n1 1 --beta 1,1,1 --extra-orders 9 4",
     # a deeper tower: 32 decompositions over the towers of n = 4
     "relations_thm519_n4": "verify-relations --suite thm5.19 --n 4 --n1 1 --beta 1,1,1",
