@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .cyclo import CycScalar, _power, common_modulus, rational, root_of_unity
 
 if TYPE_CHECKING:
-    from .fusion import CanonLabel, CharacterBasis, FusionVector, ModuleTraces
+    from .fusion import CanonLabel, CharacterBasis, FusionVector
     from .modules import ModuleRep
 
 __all__ = [
@@ -250,17 +250,13 @@ class Caches:
     Delta(x^u y^v) and `antipode` maps (u, v) to s(y)^v s(x)^u.
     Module layer: `modules` maps modules.simple_key to the module that
     build_simple built, and `classes` maps it to that module's CanonLabel
-    (grothendieck.cls).
-    Fusion layer: `traces` maps the id of each module in `modules`, every
-    candidate simple among them, to its fusion.ModuleTraces (its b, c and
-    a^n scalars and its traces at j < 2n), which fusion.class_of, the
-    candidate bases and every tensor product it is a factor of read;
-    `qbinomial_squares` holds [u choose k]_(q^n1)^2 for k <= u < n, the
-    coefficients of the tensor-product trace formula.  `character_bases`
-    holds, per central character, the candidate simples, their trace rows
-    and the factorization of those rows that decompose replays
-    (fusion.candidate_simples), and `fuse` maps a class pair to its fuse
-    result (grothendieck.gr_mul).
+    (grothendieck.cls); each module keeps its own fusion.ModuleTraces.
+    Fusion layer: `qbinomial_squares` holds [u choose k]_(q^n1)^2 for
+    k <= u < n, the coefficients of the tensor-product trace formula.
+    `character_bases` holds, per central character, the candidate simples,
+    their trace rows and the factorization of those rows that decompose
+    replays (fusion.candidate_simples), and `fuse` maps a class pair to its
+    fuse result (grothendieck.gr_mul).
     """
 
     straighten: dict[tuple[int, int], dict[Monomial, CycScalar]] = field(default_factory=dict)
@@ -269,7 +265,6 @@ class Caches:
     antipode: dict[tuple[int, int], Element] = field(default_factory=dict)
     modules: dict[tuple, ModuleRep] = field(default_factory=dict)
     classes: dict[tuple, CanonLabel] = field(default_factory=dict)
-    traces: dict[int, ModuleTraces] = field(default_factory=dict)
     qbinomial_squares: list[list[CycScalar]] = field(default_factory=list)
     character_bases: dict[tuple, CharacterBasis] = field(default_factory=dict)
     fuse: dict[tuple[CanonLabel, CanonLabel], FusionVector] = field(default_factory=dict)
@@ -323,7 +318,7 @@ class AlgebraParams:
     def scalar(self, x) -> CycScalar:
         if isinstance(x, CycScalar):
             return x.embed(self.M) if x.m != self.M else x
-        return rational(Fraction(x), self.M)
+        return rational(x, self.M)
 
     # -- element constructors ------------------------------------------
 

@@ -9,12 +9,13 @@ Exit codes: 0 all requested checks pass; 1 a check failed, including a typed
 error of the library (every ArithmeticError, and WrongType,
 SeedConstraintViolated, FieldTooSmall, ParameterConstraint,
 IncompatibleModulus, UnboundGenerator, PreconditionViolated), whose report
-carries "error": {class, message}; 2 usage error: a malformed argument or
-file (ParseError), an argparse error, a plain ValueError of parameter
-validation, a --left/--right label of `fuse` that names no simple module,
-a --kseed-index of `build-module` outside [0, number of solved seeds), a
-quotient suite without --N, or a `--suite radford` whose --n is not
-N/gcd(N, n1).
+carries "error": {class, message}; 2 usage error, one "error: ..." line
+on stderr: a malformed argument or file (ParseError), a --config,
+--labels-file or --out file that cannot be read or written, an argparse
+error, a plain ValueError of parameter validation, a --left/--right label
+of `fuse` that names no simple module, a --kseed-index of `build-module`
+outside [0, number of solved seeds), a quotient suite without --N, or a
+`--suite radford` whose --n is not N/gcd(N, n1).
 
 Scalar grammar (see README for the label EBNF):
     scalar  := 'cyc(M; c0, c1, ...)' | rational | power
@@ -320,6 +321,8 @@ def apply_config_defaults(argv: list) -> list:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ParseError("--config needs a file")
     path = argv[idx + 1]
     cfg = load_config_file(path)
     injected = []
@@ -408,7 +411,8 @@ def main(argv=None) -> int:
     try:
         ok, results = args.fn(args)
         body = {"results": results}
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
+        # a malformed argument, or a file named by a flag that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LIBRARY_ERRORS as exc:
@@ -418,7 +422,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": ok, **body})
+    try:
+        emit(args, {"schema": SCHEMA, "command": args.command, "config": config_dict(args), "pass": ok, **body})
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

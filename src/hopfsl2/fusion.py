@@ -32,12 +32,11 @@ principle: trace functions determine composition factors).
   so its trace is 0.  At k = l it acts on W by a^(j + n1 k) x^(u-k)
   a^(n1 k) y^(u-k) = q^(n1 k (u-k)) a^(j + 2 n1 k) x^(u-k) y^(u-k), and
   [u choose k]_(Q^-1) = Q^(-k (u-k)) [u choose k]_Q cancels that phase.
-  A built simple's scalars and traces are made once per AlgebraParams and
-  shared with class_of; the squared q-binomials are made once too.
+  A module's scalars and traces are read once, into the ModuleTraces kept
+  on it; the squared q-binomials are made once per AlgebraParams.
 * One trace basis per character.  The candidates of a central character are
-  build_simple's modules for their labels, so each shares its one trace
-  record with class_of and the tensor products; their classes and trace
-  rows are kept in a CharacterBasis owned by the AlgebraParams.
+  build_simple's modules for their labels; their classes and trace rows are
+  kept in a CharacterBasis owned by the AlgebraParams.
 * One factorization per character, made once.  a^n acts as the scalar
   gamma1 on m and on every candidate, so tr(a^(j+n) x^u y^u) = gamma1
   tr(a^j x^u y^u) and the rows j < n span every trace row.  The first
@@ -83,7 +82,6 @@ from .modules import (
     WrongType,
     build_simple,
     kind_conditions,
-    simple_key,
     solve_k_seed,
     verify_module,
 )
@@ -339,11 +337,11 @@ def _dense_traces(p: AlgebraParams, m: ModuleRep, jmax: int):
 
 @dataclass(frozen=True)
 class ModuleTraces:
-    """The numbers of a module that decompose and class_of read.
+    """The numbers that decompose and class_of read, kept in ModuleRep.record.
 
     `gamma2`, `gamma3` and `gamma1` are the scalars by which b, c and a^n
-    act, and `traces` is trace_vector(p, m, 2n); its first n^2 entries are
-    the module's trace rows.
+    act, and `traces` is trace_vector(p, m, 2n), whose first n^2 entries are
+    the module's trace rows (a tensor product's record holds only those).
     """
 
     gamma2: object
@@ -352,45 +350,35 @@ class ModuleTraces:
     traces: list
 
 
-def _built_traces(p: AlgebraParams, m: ModuleRep) -> ModuleTraces | None:
-    """The ModuleTraces of m when m is the module build_simple built for its
-    label, else None.
+def _built_traces(p: AlgebraParams, m: ModuleRep) -> ModuleTraces:
+    """The ModuleTraces of m, made on the first read and kept in `m.record`,
+    so a module that fusion has read must not be changed afterwards.
 
-    They are made once and kept in `p.caches.traces`, keyed by id(m): a
-    built module stays in `p.caches.modules` as long as p lives, so its id
-    is not reused while the entry exists.  The builders make b and c scalar
-    and a diagonal with entries mu q^(-+j), whose n-th powers are all mu^n,
-    so the scalars are read off the first diagonal entries.
+    A tensor product's comes from its factors' (b, c and a are group-like).
+    A module build_simple made for p has a diagonal with entries mu q^(-+j),
+    whose n-th powers are all mu^n, so its scalars are its first diagonal
+    entries; on any other module b, c and a^n must act as scalars (else
+    WrongType, checked in that order).
     """
-    known = p.caches.traces.get(id(m))
-    if known is None:
-        if not isinstance(m.label, SimpleLabel) or p.caches.modules.get(simple_key(p, m.label)) is not m:
-            return None
-        b, c, a = (m.mat(g)[0][0] for g in "bca")
-        known = p.caches.traces[id(m)] = ModuleTraces(b, c, a**p.n, trace_vector(p, m, 2 * p.n))
-    return known
-
-
-def _action(p: AlgebraParams, m: ModuleRep, g: str):
-    """The scalar by which g (b, c or a^n) acts on m; WrongType when it acts
-    by no scalar.  b, c and a are group-like, so on a tensor product it is
-    the product of the factors' scalars."""
-    if isinstance(m, TensorProduct):
-        v, w = m.factors
-        return lift(_action(p, v, g), m.zero) * lift(_action(p, w, g), m.zero)
-    known = _built_traces(p, m)
-    if known is not None:
-        return {"b": known.gamma2, "c": known.gamma3, "a^n": known.gamma1}[g]
-    return _scalar_action(mat_pow(m.mat("a"), p.n) if g == "a^n" else m.mat(g), g)
+    if m.record is None and isinstance(m, TensorProduct):
+        v, w = (_built_traces(p, f) for f in m.factors)
+        pairs = ((v.gamma2, w.gamma2), (v.gamma3, w.gamma3), (v.gamma1, w.gamma1))
+        gammas = [lift(x, m.zero) * lift(y, m.zero) for x, y in pairs]
+        m.record = ModuleTraces(*gammas, _tensor_rows(p, v, w, m.zero))
+    elif m.record is None:
+        if m.built and m.params is p:
+            gammas = [m.mat(g)[0][0] for g in "bc"] + [m.mat("a")[0][0] ** p.n]
+        else:
+            gammas = [_scalar_action(m.mat(g), g) for g in "bc"]
+            gammas.append(_scalar_action(mat_pow(m.mat("a"), p.n), "a^n"))
+        m.record = ModuleTraces(*gammas, trace_vector(p, m, 2 * p.n))
+    return m.record
 
 
 def _trace_rows(p: AlgebraParams, m: ModuleRep) -> list:
     """The n^2 trace rows of m, tr(a^j x^u y^u) for j < n, row-major in
-    (j, u); a tensor product reads them from its factors' rows."""
-    if isinstance(m, TensorProduct):
-        return _tensor_rows(p, m)
-    known = _built_traces(p, m)
-    return known.traces[: p.n * p.n] if known is not None else trace_vector(p, m, p.n)
+    (j, u): the first n^2 traces of its record."""
+    return _built_traces(p, m).traces[: p.n * p.n]
 
 
 def _qbinomial_squares(p: AlgebraParams) -> list:
@@ -408,19 +396,18 @@ def _qbinomial_squares(p: AlgebraParams) -> list:
     return table
 
 
-def _tensor_rows(p: AlgebraParams, m: TensorProduct) -> list:
-    """The n^2 trace rows of V (x) W from the factors' rows, by the q-binomial
-    formula of the module docstring; about n^3 / 2 products of scalars."""
-    v, w = m.factors
-    n, n1, zero = p.n, p.n1, m.zero
-    tv = [lift(t, zero) for t in _trace_rows(p, v)]
-    tw = [lift(t, zero) for t in _trace_rows(p, w)]
+def _tensor_rows(p: AlgebraParams, v: ModuleTraces, w: ModuleTraces, zero) -> list:
+    """The n^2 trace rows of V (x) W over `zero` from the factors' records,
+    by the q-binomial formula of the module docstring; about n^3 / 2 products."""
+    n, n1 = p.n, p.n1
+    tv = [lift(t, zero) for t in v.traces[: n * n]]
+    tw = [lift(t, zero) for t in w.traces[: n * n]]
     # W's traces at a^e for e < n + 2 n1 (n - 1): a^n acts on W as gamma1(W)
-    gamma1_w = lift(_action(p, w, "a^n"), zero)
+    gamma1_w = lift(w.gamma1, zero)
     while len(tw) < (n + 2 * n1 * (n - 1)) * n:
         tw.extend(t if t.is_zero() else gamma1_w * t for t in tw[-n * n :])
     # coef[u][k] = [u choose k]_(q^n1)^2 (gamma2 gamma3)^(u-k), gammas of V
-    g23 = lift(_action(p, v, "b") * _action(p, v, "c"), zero)
+    g23 = lift(v.gamma2 * v.gamma3, zero)
     g23_pows = [zero.one()]
     for _ in range(1, n):
         g23_pows.append(g23_pows[-1] * g23)
@@ -549,10 +536,10 @@ class CharacterBasis(list):
 
     The list itself holds the (CanonLabel, ModuleRep) pairs that
     candidate_simples returns; `rows` maps each label to the n^2 traces of
-    its module at j < n, trace_vector(p, module, n), the only rows decompose
-    works on.  The label's fingerprint holds the keys of the traces at
-    j < 2n.  `factorization` is None until the first decompose against the
-    character fills it.  One basis per character is kept in
+    its module at j < n, the first n^2 traces of its record, the only rows
+    decompose works on.  The label's fingerprint holds the keys of the
+    traces at j < 2n.  `factorization` is None until the first decompose
+    against the character fills it.  One basis per character is kept in
     `p.caches.character_bases`, so it lives as long as p.
     """
 
@@ -588,9 +575,8 @@ def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     if basis is not None:
         return basis
     b1pp, b2pp, _b3pp, _mu = kind_conditions(p, g1, gamma2, gamma3, 0)
-    n = p.n
     if b1pp.is_zero() and b2pp.is_zero():
-        kinds = ("V0" if kind_conditions(p, g1, gamma2, gamma3, i)[2].is_zero() else "Vr" for i in range(n))
+        kinds = ("V0" if kind_conditions(p, g1, gamma2, gamma3, i)[2].is_zero() else "Vr" for i in range(p.n))
         labels = [SimpleLabel(kind, g1, gamma2, gamma3, i) for i, kind in enumerate(kinds)]
     else:
         kind = "VII" if b1pp.is_zero() else "VI"
@@ -601,7 +587,7 @@ def candidate_simples(p: AlgebraParams, g1, gamma2, gamma3) -> CharacterBasis:
     for m in (build_simple(p, lab) for lab in labels):
         label = class_of(p, m)
         if label not in rows:
-            rows[label] = _built_traces(p, m).traces[: n * n]
+            rows[label] = _trace_rows(p, m)
             cands.append((label, m))
     cands.sort(key=lambda cm: cm[0])
     basis = CharacterBasis(cands, rows)
@@ -656,19 +642,18 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
     multiplicities are read from the rational coordinates of the rows and
     checked on all of them; otherwise, or when that check fails, the
     factorization is replayed on the rows in the candidates' field, and
-    replay raises every error.  A TensorProduct's scalars and trace rows
-    are read from its factors', and its matrices are not built.
+    replay raises every error.  The scalars and rows are m's record; a
+    TensorProduct's comes from its factors', and its matrices are not built.
     """
-    gamma2, gamma3, gamma1 = (_action(p, m, g) for g in ("b", "c", "a^n"))
+    known = _built_traces(p, m)
     g1n = p.scalar(g1)
-    if not (lift(g1n, m.zero_scalar()) ** p.n - gamma1).is_zero():
+    if not (lift(g1n, m.zero_scalar()) ** p.n - known.gamma1).is_zero():
         raise WrongType("g1^n does not match the a^n scalar")
     # over a tower, b and c act by tower constants of Q(zeta_M) character data
-    cands = candidate_simples(p, g1n, base_constant(gamma2), base_constant(gamma3))
+    cands = candidate_simples(p, g1n, base_constant(known.gamma2), base_constant(known.gamma3))
     if not isinstance(cands, CharacterBasis):
-        # a caller that substitutes its own candidate list: its rows are
-        # traced and its block factored for this call only
-        cands = CharacterBasis(cands, {lab: trace_vector(p, cm, p.n) for lab, cm in cands})
+        # a substituted candidate list: its block is factored for this call only
+        cands = CharacterBasis(cands, {lab: _trace_rows(p, cm) for lab, cm in cands})
     plan = cands.factorize(p)
     try:
         traces = [read_in(t, plan.zero) for t in _trace_rows(p, m)]
@@ -696,14 +681,12 @@ def decompose(p: AlgebraParams, m: ModuleRep, g1) -> FusionVector:
 
 
 def class_of(p: AlgebraParams, m: ModuleRep) -> CanonLabel:
-    """CanonLabel of a simple module; a built simple's traces are shared with
-    the tensor products it is a factor of.  Its b and c scalars are read as
-    decompose reads them, so the class depends on the module alone."""
+    """CanonLabel of a simple module, read from its record as decompose reads
+    it, so the class depends on the module alone."""
     known = _built_traces(p, m)
-    traces = known.traces if known is not None else trace_vector(p, m, 2 * p.n)
-    bc = tuple(p.scalar(base_constant(_action(p, m, g))).key() for g in "bc")
+    bc = tuple(p.scalar(base_constant(g)).key() for g in (known.gamma2, known.gamma3))
     bc = () if bc == (p.one.key(),) * 2 else bc
-    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in traces), m.label, bc)
+    return CanonLabel(m.label.kind, m.dim, tuple(t.key() for t in known.traces), m.label, bc)
 
 
 def fuse(p: AlgebraParams, l1: SimpleLabel, l2: SimpleLabel) -> FusionVector:

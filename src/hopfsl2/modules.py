@@ -16,11 +16,11 @@ cyclotomic field; such a module's matrices are lifted once into its tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import AlgebraParams
 from .extfield import _poly_mul, field_zero, find_field_roots, lift, split_roots
@@ -39,6 +39,9 @@ from .linalg import (
     transpose,
     zeros,
 )
+
+if TYPE_CHECKING:
+    from .fusion import ModuleTraces
 
 __all__ = [
     "WrongType",
@@ -124,13 +127,17 @@ class ModuleRep:
     """A module as the five dim x dim matrices `mats` of a, b, c, x, y.
 
     fusion.tensor returns a subclass, fusion.TensorProduct, that keeps its
-    two factors and builds `mats` on first read.
+    two factors and builds `mats` on first read.  `record` is the
+    fusion.ModuleTraces that fusion reads m into and keeps; `built` marks a
+    module that build_simple made for `params`.
     """
 
     dim: int
     mats: dict
     label: object
     params: AlgebraParams
+    record: ModuleTraces | None = field(default=None, init=False, repr=False, compare=False)
+    built: bool = field(default=False, init=False, repr=False, compare=False)
 
     def mat(self, name: str):
         return self.mats[name]
@@ -244,34 +251,28 @@ def _check_cyclic_kind(kind: str, b1, b2) -> None:
         raise WrongType("VII requires beta2'' != 0")
 
 
-def _scalar_mat(s, dim: int):
-    return mat_scale(s, identity(s.one(), dim))
-
-
 def _chain_module(p: AlgebraParams, label, zero, mu, gamma2, gamma3, up: str, wrap, coeffs, seed) -> ModuleRep:
     """The module on v_0..v_(d-1), d = len(coeffs) + 1, over the field of
     `zero`, with b and c scalar.
 
     `up` (x or y) sends v_j -> v_(j+1) and v_(d-1) -> wrap v_0; the other of
     x, y sends v_j -> coeffs[j-1] v_(j-1) and v_0 -> seed v_(d-1); a v_j is
-    mu q^-j v_j when x is the up-shift and mu q^j v_j when y is."""
+    mu q^-j v_j when x is the up-shift and mu q^j v_j when y is.  Each placed
+    entry is lifted into the field of `zero` once."""
     d = len(coeffs) + 1
     down, sign = ("y", -1) if up == "x" else ("x", 1)
-    mats = {
-        "a": zeros(p.zero, d, d),
-        "b": _scalar_mat(p.scalar(gamma2), d),
-        "c": _scalar_mat(p.scalar(gamma3), d),
-        "x": zeros(p.zero, d, d),
-        "y": zeros(p.zero, d, d),
-    }
+    mats = {g: zeros(zero, d, d) for g in "abcxy"}
+    gamma2, gamma3, one = (lift(s, zero) for s in (p.scalar(gamma2), p.scalar(gamma3), p.one))
     for j in range(d):
-        mats["a"][j][j] = mu * p.qpow(sign * j)
+        mats["a"][j][j] = lift(mu * p.qpow(sign * j), zero)
+        mats["b"][j][j] = gamma2
+        mats["c"][j][j] = gamma3
     for j in range(d - 1):
-        mats[up][j + 1][j] = p.one
-        mats[down][j][j + 1] = coeffs[j]
-    mats[up][0][d - 1] = wrap
-    mats[down][d - 1][0] = seed
-    return ModuleRep(d, {g: [[lift(x, zero) for x in row] for row in mat] for g, mat in mats.items()}, label, p)
+        mats[up][j + 1][j] = one
+        mats[down][j][j + 1] = lift(coeffs[j], zero)
+    mats[up][0][d - 1] = lift(wrap, zero)
+    mats[down][d - 1][0] = lift(seed, zero)
+    return ModuleRep(d, mats, label, p)
 
 
 def _vr_k_coeffs(p: AlgebraParams, mu, gamma2, gamma3, length: int):
@@ -390,6 +391,7 @@ def build_simple(p: AlgebraParams, label: SimpleLabel) -> ModuleRep:
             p.caches.modules[key[:5] + (r, None)] = m
     else:
         p.caches.modules[key] = m
+    m.built = True
     return m
 
 

@@ -197,6 +197,23 @@ def test_cli_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-axioms", "--n", "2", "--n1", "1", "--config"],
+        ["fusion-table", "--n", "3", "--n1", "1", "--labels-file", "{tmp}/missing.txt"],
+        ["fusion-table", "--n", "3", "--n1", "1", "--labels-file", "{tmp}"],
+        ["verify-axioms", "--n", "2", "--n1", "1", "--n-random", "1", "--out", "{tmp}/missing/r.json"],
+    ],
+    ids=["config-without-file", "missing-labels-file", "labels-file-is-a-directory", "out-in-a-missing-directory"],
+)
+def test_cli_unusable_file_argument_is_a_usage_error(tmp_path, capsys, args):
+    code = main([a.format(tmp=tmp_path) for a in args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "args, named",
     [
         (["fuse", "--left", "V0", "--right", "V0(1,1,1;0)"], "'V0'"),
