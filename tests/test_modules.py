@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 
 import pytest
 
@@ -366,3 +368,64 @@ def test_stray_label_fields_raise_wrong_type():
     with pytest.raises(WrongType, match="takes no r"):
         build_simple(p, dataclasses.replace(label, r=5))
     assert len(p.caches.modules) == 1
+
+
+# recorded from the chain builders before the k-chain was rewritten to start
+# at seed 0
+CHAIN_MODULES_SHA256 = "fed782d6384b3155360c4aa9faf82dc0db4ad8165260d5e708052cda99bf5e4c"
+
+
+def _pinned(build):
+    """build(), or the class and message of the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the error is the pinned output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _mats_text(*modules) -> str:
+    return " | ".join(repr([m.mats[g] for g in "abcxy"]) for m in modules)
+
+
+def _chain_modules_text() -> str:
+    """Every chain module over (n, n1) in {(2,1), (3,1), (3,2), (4,1),
+    (4,2), (4,3)}, beta in {0,1}^3, extra order n^2, g1 over the n^2-th
+    roots of unity and gamma2 = gamma3 = 1: per case the five matrices of
+    V0 and V_r at every i < n, of the Prop 4.7 extension at every i < n
+    (total, sub, quot), the VI and VII seeds at i = 0 with the simple of
+    each, and the Prop 4.6 extension at varsigma in {0, 1, 2} and every
+    i < n; or the exception's class and message."""
+    lines = []
+    for n, n1 in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for beta in itertools.product((0, 1), repeat=3):
+            p = AlgebraParams(n, n1, beta=beta, extra_orders=(n * n,))
+            head = f"{n} {n1} {beta}"
+            for g in range(n * n):
+                g1 = root_of_unity(n * n, g)
+                for i in range(n):
+                    for kind in ("V0", "Vr"):
+                        label = SimpleLabel(kind, g1, p.one, p.one, i)
+                        lines.append(f"{head} {kind} {g} {i}: " + _pinned(lambda: _mats_text(build_simple(p, label))))
+                    ext = _pinned(lambda: build_extension_prop47(p, g1, 1, 1, i))
+                    text = ext if isinstance(ext, str) else _mats_text(ext.total, ext.sub, ext.quot)
+                    lines.append(f"{head} prop47 {g} {i}: {text}")
+                for kind in ("VI", "VII"):
+                    seeds = _pinned(lambda: solve_k_seed(p, kind, g1, 1, 1, 0, allow_extension=True))
+                    lines.append(f"{head} {kind} {g} seeds: {seeds!r}")
+                    for s in seeds if isinstance(seeds, list) else ():
+                        label = SimpleLabel(kind, g1, p.one, p.one, 0, kseed=s)
+                        lines.append(f"{head} {kind} {g} {s!r}: " + _pinned(lambda: _mats_text(build_simple(p, label))))
+            for varsigma in range(3):
+                for i in range(n):
+                    ext = build_extension_prop46(p, varsigma, i)
+                    lines.append(f"{head} prop46 {varsigma} {i}: " + _mats_text(ext.total, ext.sub, ext.quot))
+    return "\n".join(lines) + "\n"
+
+
+def test_chain_modules_and_seeds_are_pinned():
+    """Every chain module and k-seed list over 8,412 cases, 422 of them
+    over a tower, hashes to the text recorded before the chain rewrite."""
+    text = _chain_modules_text()
+    assert text.count("\n") == 8412
+    assert sum("ext[" in line for line in text.splitlines()) == 422
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_MODULES_SHA256
