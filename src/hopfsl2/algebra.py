@@ -31,6 +31,7 @@ those of the fusion layer, lives in its `Caches` object.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -305,9 +306,9 @@ class AlgebraParams:
         self.sqrt_q = (
             self.q ** ((n + 1) // 2) if n % 2 == 1 else root_of_unity(M, M // (2 * n))
         )
-        t = (self.q**n1).multiplicative_order()
-        self.t = t
-        self.u = n // t if n % t == 0 else None
+        # q is a primitive n-th root of unity, so q^n1 has order n / gcd(n, n1)
+        self.u = math.gcd(n, n1)
+        self.t = n // self.u
         self.caches = Caches()
 
     # -- scalars ------------------------------------------------------

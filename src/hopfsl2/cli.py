@@ -148,8 +148,9 @@ def make_params(args, beta_text=None) -> AlgebraParams:
 
 def _make_quotient(args) -> QuotientParams:
     """The finite quotient at --m/--n2/--n3.  Its working field needs the
-    n(n-1)m-th roots of unity, which join --extra-orders (and the config)."""
-    args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * args.m]
+    n(n-1)m-th roots of unity, which join --extra-orders (and the config).
+    An m below 1 joins as 1, so that QuotientParams refuses it by name."""
+    args.extra_orders = list(args.extra_orders or ()) + [args.n * (args.n - 1) * max(args.m, 1)]
     return QuotientParams(make_params(args), args.m, args.n2, args.n3)
 
 

@@ -3,10 +3,11 @@
 Every module is five dim x dim matrices (the images of a, b, c, x, y) over a
 cyclotomic field or a small algebraic extension of one (for k-seeds that are
 not cyclotomic).  Constructors derive all structure constants from the
-defining relations: the y-coefficients of the n-dimensional simples are
-solved from the yx-straightening recurrence seeded by k1 (resp. k_n) and the
-degree-n product constraint is checked exactly; displayed closed forms are
-cross-checks, not inputs.
+defining relations.  Every chain module (V0, V_r, V_I, V_II and the
+extensions of Props 4.6 and 4.7) is placed by _chain_module from the
+seed-0 k-chain of the yx-straightening recurrence; a V_I/V_II seed s adds
+L q^(-j n1) s to entry j, and the degree-n product constraint is checked
+exactly.  Displayed closed forms are cross-checks, not inputs.
 
 The field rule: character data (g1, gamma2, gamma3, hence mu) lies in
 Q(zeta_M), is read through p.scalar (TypeError for tower values) and meets
@@ -205,40 +206,30 @@ def build_V0(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     return _chain_module(p, label, p.zero, mu, gamma2, gamma3, "x", p.zero, [], p.zero)
 
 
-def _seed_affine_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, lead, steps: int):
-    """The straightening chain as affine forms (alpha_j, delta_j) of the seed s.
+def _k_chain(p: AlgebraParams, kind: str, mu, gamma2, gamma3, steps: int) -> list:
+    """k_0..k_steps of the straightening chain from seed 0.
 
-    mu_j(s) = alpha_j s + delta_j for j = 0..steps, with mu_0(s) = lead s and
-    mu_(j+1) = q^-n1 mu_j + c_j, c_j = beta3 (mu^(2 n1) q^e_j - gamma2 gamma3).
-    V_I and V_r read their y-coefficients upward (e_j = -2 j n1); V_II reads
-    its x-coefficients downward from position n (e_j = 2 (n-1-j) n1).
+    k_0 = 0 and k_(j+1) = q^-n1 k_j + c_j, c_j = beta3 (mu^(2 n1) q^e_j -
+    gamma2 gamma3).  V_I and V_r read their y-coefficients upward
+    (e_j = -2 j n1); V_II reads its x-coefficients downward from position n
+    (e_j = 2 (n-1-j) n1).  A V_I/V_II seed s adds L q^(-j n1) s to entry j,
+    L = beta1'' for V_I and beta2'' for V_II.
     """
     b3 = p.beta[2]
     g2g3 = p.scalar(gamma2) * p.scalar(gamma3)
     qn1_inv = p.qpow(-p.n1)
     mu2 = mu ** (2 * p.n1)
-    n = p.n
-    forms = [(lead, p.zero)]
+    ks = [p.zero]
     for j in range(steps):
-        e = 2 * (n - 1 - j) * p.n1 if kind == "VII" else -2 * j * p.n1
-        c_j = b3 * (mu2 * p.qpow(e) - g2g3)
-        alpha, delta = forms[-1]
-        forms.append((qn1_inv * alpha, qn1_inv * delta + c_j))
-    return forms
+        e = 2 * (p.n - 1 - j) * p.n1 if kind == "VII" else -2 * j * p.n1
+        ks.append(qn1_inv * ks[-1] + b3 * (mu2 * p.qpow(e) - g2g3))
+    return ks
 
 
 def _by_position(kind: str, chain: list) -> list:
     """Chain entries 1..n-1 of an (n+1)-entry chain, ordered by the matrix
     position they fill: V_I reads the chain upward, V_II downward."""
     return chain[1:-1] if kind == "VI" else chain[-2:0:-1]
-
-
-def _seed_forms(p: AlgebraParams, kind: str, mu, gamma2, gamma3, b1, b2) -> list:
-    """The affine forms (alpha_j, delta_j) whose product times s is the seed constraint."""
-    if kind not in ("VI", "VII"):
-        raise WrongType("k-seeds exist only for kinds VI and VII")
-    lead = b1 if kind == "VI" else b2
-    return _by_position(kind, _seed_affine_chain(p, kind, mu, gamma2, gamma3, lead, p.n))
 
 
 def _check_cyclic_kind(kind: str, b1, b2) -> None:
@@ -275,11 +266,6 @@ def _chain_module(p: AlgebraParams, label, zero, mu, gamma2, gamma3, up: str, wr
     return ModuleRep(d, mats, label, p)
 
 
-def _vr_k_coeffs(p: AlgebraParams, mu, gamma2, gamma3, length: int):
-    """k_1..k_length of the V_r chain (k_0 = 0)."""
-    return [delta for _alpha, delta in _seed_affine_chain(p, "Vr", mu, gamma2, gamma3, p.zero, length)[1:]]
-
-
 def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     """The r-dimensional simple with x a strict up-shift and y m0 = 0."""
     b1, b2, b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
@@ -291,7 +277,7 @@ def build_Vr(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> ModuleRep:
     r = v if v is not None else p.t
     if not 2 <= r <= p.t:
         raise InternalInconsistency(f"computed r = {r} outside [2, t]")
-    ks = _vr_k_coeffs(p, mu, gamma2, gamma3, r)
+    ks = _k_chain(p, "Vr", mu, gamma2, gamma3, r)[1:]
     for l, k in enumerate(ks[:-1], start=1):
         if k.is_zero():
             raise InternalInconsistency(f"k_{l} vanished below the minimal r")
@@ -310,7 +296,8 @@ def _build_cyclic(p: AlgebraParams, kind: str, g1, gamma2, gamma3, i: int, kseed
     kseed = lift(kseed, zero)
     n = p.n
     wrap, target = (b1, b2) if kind == "VI" else (b2, b1)
-    chain = [kseed * alpha + delta for alpha, delta in _seed_affine_chain(p, kind, mu, gamma2, gamma3, wrap, n)]
+    seed_term = kseed * wrap
+    chain = [seed_term * p.qpow(-j * p.n1) + k for j, k in enumerate(_k_chain(p, kind, mu, gamma2, gamma3, n))]
     if not (chain[n] - chain[0]).is_zero():
         raise InternalInconsistency(f"V_{kind[1:]} wrap recurrence is inconsistent (t = 1 case)")
     coeffs = _by_position(kind, chain)
@@ -403,29 +390,34 @@ def solve_k_seed(
 ):
     """All seeds of the degree-n constraint found in the working field.
 
-    The constraint is s * prod_j (alpha_j s + delta_j) = target.  When the
-    target is zero every root is written down exactly.  Otherwise roots are
-    found by the candidate scan; with allow_extension=True the polynomial is
-    split completely over an extension tower and its distinct roots are
-    returned (in that tower's field; all n when it is squarefree).  Raises
+    The constraint is s * prod_j (L q^(-j n1) s + k_j) = target over the
+    chain positions j of the seed-0 k-chain.  When the target is zero every
+    root is written down exactly.  Otherwise roots are found by the
+    candidate scan; with allow_extension=True the polynomial is split
+    completely over an extension tower and its distinct roots are returned
+    (in that tower's field; all n when it is squarefree).  Raises
     WrongType when the character has no module of the kind, and
     FieldTooSmall when no in-field root is found and extensions are off.
     """
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     _check_cyclic_kind(kind, b1, b2)
-    forms = _seed_forms(p, kind, mu, gamma2, gamma3, b1, b2)
-    target = b2 if kind == "VI" else b1
+    if kind not in ("VI", "VII"):
+        raise WrongType("k-seeds exist only for kinds VI and VII")
+    lead, target = (b1, b2) if kind == "VI" else (b2, b1)
+    ks = _k_chain(p, kind, mu, gamma2, gamma3, p.n)
+    positions = _by_position(kind, list(range(p.n + 1)))
     if target.is_zero():
-        # each alpha_j is the nonzero beta'' of the kind times a power of q
+        # lead is the nonzero beta'' of the kind
+        lead_inv = lead.inv()
         roots = [p.zero]
-        for alpha, delta in forms:
-            root = -delta * alpha.inv()
+        for j in positions:
+            root = -ks[j] * lead_inv * p.qpow(j * p.n1)
             if all(not (root - r).is_zero() for r in roots):
                 roots.append(root)
         return roots
     poly = [p.zero, p.one]
-    for alpha, delta in forms:
-        poly = _poly_mul(poly, [delta, alpha], p.zero)
+    for j in positions:
+        poly = _poly_mul(poly, [ks[j], lead * p.qpow(-j * p.n1)], p.zero)
     poly[0] = poly[0] - target
     if allow_extension:
         roots, _sample = split_roots(poly)
@@ -663,7 +655,8 @@ def build_extension_prop46(
 
     a = diag(1, q^-1, ..., q^-n), b = c = 1, x shifts v_1 -> ... -> v_n with
     wrap x v_n = beta1 (q^i - 1) v_1 as displayed, y v_1 = varsigma v_0, and
-    the remaining y-coefficients are solved from the commutator relation.
+    the remaining y-coefficients are the V_r chain's: the x-up chain module
+    with x v_0 = 0 and the displayed wrap set afterwards.
     The displayed wrap violates x^n = beta1(a^(n n1) - b^n) unless
     beta1 (q^i - 1) = 0; verify_module reports this honestly.
     """
@@ -671,25 +664,15 @@ def build_extension_prop46(
         raise ParameterConstraint("hypothesis q^(i/(n n1)+1+i) = 1 fails (needs q^i = 1)")
     n = p.n
     zero, one = p.zero, p.one
-    varsigma = p.scalar(varsigma)
     d = n + 1
-    a = zeros(zero, d, d)
-    for l in range(d):
-        a[l][l] = p.qpow(-l)
-    b = identity(one, d)
-    c = identity(one, d)
-    x = zeros(zero, d, d)
-    for l in range(1, n):
-        x[l + 1][l] = one
-    x[1][n] = p.beta[0] * (p.qpow(i) - one)
-    y = zeros(zero, d, d)
-    y[0][1] = varsigma
     # (yx - q^-n1 xy) v_l = beta3 (q^(-2 l n1) - 1) v_l fixes y v_(l+1) = k_(l+1) v_l:
     # the V_r chain at mu = gamma2 = gamma3 = 1
-    ks = _vr_k_coeffs(p, one, one, one, n)
-    for l in range(1, n):
-        y[l][l + 1] = ks[l]
-    total = ModuleRep(d, {"a": a, "b": b, "c": c, "x": x, "y": y}, ("prop46", i), p)
+    ks = _k_chain(p, "Vr", one, one, one, n)
+    coeffs = [p.scalar(varsigma)] + ks[2:]
+    total = _chain_module(p, ("prop46", i), zero, one, one, one, "x", zero, coeffs, zero)
+    x = total.mats["x"]
+    x[1][0] = zero
+    x[1][n] = p.beta[0] * (p.qpow(i) - one)
     sub = build_V0(p, p.one, p.one, p.one, 0)
     qmats = {g: [[M[r][cc] for cc in range(1, d)] for r in range(1, d)] for g, M in total.mats.items()}
     quot = ModuleRep(n, qmats, ("prop46-quot", i), p)
@@ -708,7 +691,7 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
     beta1'' = beta2'' = 0 and the gamma-data outside <q^n1> (so r = t).
     """
     t = p.t
-    if p.u is None or p.u < 2:
+    if p.u < 2:
         raise ParameterConstraint("the displayed 2t-chain needs u = n/t >= 2")
     b1, b2, _b3, mu = kind_conditions(p, g1, gamma2, gamma3, i)
     if not (b1.is_zero() and b2.is_zero()):
@@ -717,8 +700,8 @@ def build_extension_prop47(p: AlgebraParams, g1, gamma2, gamma3, i: int) -> Exte
         raise ParameterConstraint("need gamma1^(-2n1/n) gamma2 gamma3 outside <q^n1>")
     # one x-chain of length 2t: the V_t chain at mu over the V_t chain at
     # mu q^-t, joined by a zero y-coefficient
-    ks_top = _vr_k_coeffs(p, mu, gamma2, gamma3, t - 1)
-    ks_low = _vr_k_coeffs(p, mu * p.qpow(-t), gamma2, gamma3, t - 1)
+    ks_top = _k_chain(p, "Vr", mu, gamma2, gamma3, t - 1)[1:]
+    ks_low = _k_chain(p, "Vr", mu * p.qpow(-t), gamma2, gamma3, t - 1)[1:]
     coeffs = ks_top + [p.zero] + ks_low
     total = _chain_module(p, ("prop47", i), p.zero, mu, gamma2, gamma3, "x", p.zero, coeffs, p.zero)
     sub = build_Vr(p, g1, gamma2, gamma3, i - t)

@@ -330,3 +330,12 @@ def test_coproduct_and_antipode_on_generated_pairs():
         assert p.antipode(uv) == p.mul(p.antipode(v), p.antipode(u))
 
     check()
+
+
+def test_t_and_u_in_closed_form():
+    """t = n / gcd(n, n1) is the order of q^n1 and u = n / t."""
+    for n in range(2, 13):
+        for n1 in range(1, 3 * n):
+            p = AlgebraParams(n, n1)
+            assert p.t == (p.q**n1).multiplicative_order()
+            assert p.t * p.u == n

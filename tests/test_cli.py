@@ -192,6 +192,15 @@ def test_cli_config_file(tmp_path, capsys):
     assert code == 0 and rep["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify-axioms", "idempotents", "integral-check"])
+def test_cli_quotient_m_below_one_is_a_usage_error(capsys, command, m):
+    code = main([command, "--n", "3", "--n1", "1", "--beta", "1,1,1", "--m", m])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: m must be at least 1\n"
+
+
 def test_cli_usage_error(capsys):
     assert main(["fuse", "--n", "3"]) == 2
 

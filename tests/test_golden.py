@@ -3,11 +3,14 @@ the files under tests/golden/.
 
 Each golden file starts with an ``exit: <code>`` line followed by the exact
 stdout.  After a deliberate change of output, re-record them with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff; name
+goldens (``PYTHONPATH=src python tests/test_golden.py fuse_vr ...``) to
+re-record only those.  An unknown name exits 2 with the known names.
 """
 
 import contextlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -67,8 +70,13 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        print(f"unknown golden(s) {', '.join(unknown)}; known: {', '.join(sorted(COMMANDS))}", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(COMMANDS):
+        for name in names:
             (GOLDEN / f"{name}.txt").write_text(cli_output(name, Path(tmp)))
             print("recorded", name)

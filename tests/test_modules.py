@@ -169,6 +169,26 @@ def test_solve_k_seed_refuses_a_kind_the_character_lacks(kind, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind, beta", [("VI", (1, 0, 1)), ("VII", (0, 1, 1))])
+def test_target_zero_seed_solve_inverts_once(monkeypatch, n, kind, beta):
+    """With target zero the n seeds are -k_j / (L q^(-j n1)) over the
+    seed-0 chain: one inverse of L serves every position."""
+    p = AlgebraParams(n, 1, beta=beta, extra_orders=(n * n,))
+    calls = []
+    inv = CycScalar.inv
+
+    def counting_inv(self):
+        if not self.is_rational():
+            calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(CycScalar, "inv", counting_inv)
+    seeds = solve_k_seed(p, kind, root_of_unity(n * n, 1), 1, 1, 0)
+    assert len(seeds) == n
+    assert len(calls) <= 1
+
+
 def test_solve_k_seed_extension():
     """At beta = (1,1,0), character (-1,1,1): the seed is a cube root of -1/2."""
     p = AlgebraParams(3, 1, beta=(1, 1, 0), extra_orders=(6,))
